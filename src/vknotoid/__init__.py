@@ -14,12 +14,13 @@ from .diagram import (KnotoidDiagram, Pass, Crossing, Presentation, Relation,
                       crossing_relations, product, insert_move,
                       DiagramSyntaxError, PairingError, SignError,
                       PositionError)
-from .coloring import (enumerate_colorings, counting_invariant,
-                       counting_matrix, matrix_product)
+from .coloring import (enumerate_colorings, iter_colorings,
+                       counting_invariant, counting_matrix, matrix_product)
 from .bracket import (VirtualBracket, SymbolicBracket, SymbolicTerm, State,
                       parse_bracket, render_bracket, verify_bracket_axioms,
-                      smooth_components, enumerate_states, evaluate,
-                      bracket_multiset, bracket_polynomial, bracket_matrix,
+                      smooth_components, enumerate_states, state_components,
+                      evaluate, Invariants, invariants, bracket_multiset,
+                      bracket_polynomial, bracket_matrix,
                       fundamental_bracket, render_symbolic, evaluate_symbolic,
                       ColoringMismatch)
 from .search import (SearchConfig, SearchResult, solve_pair, search_brackets,

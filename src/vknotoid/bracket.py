@@ -23,21 +23,30 @@ pair families from the two R2 variants), so the exact index placement in
 (9), (10) and (11) below is the one forced by invariance; known-good data
 fails under the nearby variant readings.
 
-Evaluation over all colorings reuses one state enumeration per diagram:
-states cache their component count and crossing pair positions, after which
-each coloring costs only table lookups.  Everything is pure; states and
-colorings can be processed in parallel if desired.
+Evaluation is compiled once per diagram into a state plan: the writhe, each
+crossing's sign and argument pair, and a byte table of the component counts
+of all 3^c states (see :func:`state_components`).  Per coloring, the state
+sum then reads three coefficients per crossing and expands the products of
+all states level by level, about 1.5 * 3^c multiplications.
+:func:`invariants` enumerates the colorings once and fills the counting and
+bracket matrices together.  The per-state path (:func:`enumerate_states`,
+:func:`fundamental_bracket`, :func:`evaluate_symbolic`) remains as the
+symbolic form and as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
+from typing import NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
+from .coloring import counting_matrix, iter_colorings
 from .diagram import KnotoidDiagram, writhe
 from .ring import (BracketPolynomial, Modulus, RingElement, inverse_mod,
-                   extended_gcd, NotAUnit)
+                   extended_gcd, NotAUnit, poly_add)
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -97,6 +106,8 @@ def parse_bracket(text: str, biquandle: FiniteBiquandle) -> VirtualBracket:
     if len(head) != 2:
         raise BracketError("header must be 'n m'")
     n, m = int(head[0]), int(head[1])
+    if m < 2:
+        raise BracketError("modulus must be >= 2, got %d" % m)
     if n != biquandle.n:
         raise BracketError("bracket size %d does not match biquandle size %d"
                            % (n, biquandle.n))
@@ -275,12 +286,64 @@ def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
 
 # -- evaluation ----------------------------------------------------------------
 
-@dataclass
-class _StatePlan:
-    """Per-diagram cache: for each state its delta exponent and, per crossing,
-    the (sign, smoothing, pair-of-semi-arc-indices) needed for lookups."""
+def state_components(diagram: KnotoidDiagram) -> bytes:
+    """Component count of every state, in :func:`enumerate_states` order.
+
+    Union-find over the 2c+1 semi-arcs: semi-arc k is both the out-port of
+    pass k-1 and the in-port of pass k, so each smoothing joins two pairs of
+    semi-arcs.  The walk descends through the crossings in ascending id,
+    copies the parent list at each level and subtracts the successful unions
+    from the component count; the last level only counts.
+    """
+    crossings = diagram.crossings()
+    joins = []
+    for cid in sorted(crossings):
+        cr = crossings[cid]
+        joins.append((((cr.u_in, cr.o_out), (cr.o_in, cr.u_out)),    # vertical
+                      ((cr.u_in, cr.o_in), (cr.u_out, cr.o_out)),    # horizontal
+                      ((cr.u_in, cr.u_out), (cr.o_in, cr.o_out))))   # virtual
+    if not joins:
+        return bytes([1])
+    out = bytearray()
+    last = len(joins) - 1
+
+    def walk(level: int, parent: list[int], comps: int) -> None:
+        for (a, b), (c, d) in joins[level]:
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            while parent[c] != c:
+                c = parent[c]
+            while parent[d] != d:
+                d = parent[d]
+            k = comps
+            if a != b:           # join root a under b
+                k -= 1
+                if c == a:
+                    c = b
+                if d == a:
+                    d = b
+            if c != d:
+                k -= 1
+            if level == last:
+                out.append(k)
+            else:
+                p = parent[:]
+                p[a] = b
+                p[c] = d
+                walk(level + 1, p, k)
+
+    walk(0, list(range(diagram.semi_arc_count)), diagram.semi_arc_count)
+    return bytes(out)
+
+
+class _StatePlan(NamedTuple):
+    """Per-diagram cache: the writhe, per classical crossing in ascending id
+    its sign and coefficient argument pair, and the state_components table."""
     writhe: int
-    states: list[tuple[int, tuple[tuple[int, str, tuple[int, int]], ...]]]
+    crossings: tuple[tuple[int, tuple[int, int]], ...]
+    components: bytes
 
 
 _PLANS: dict[tuple, _StatePlan] = {}
@@ -292,17 +355,44 @@ def _plan(diagram: KnotoidDiagram) -> _StatePlan:
     if plan is not None:
         return plan
     crossings = diagram.crossings()
-    states = []
-    for st in enumerate_states(diagram):
-        per_crossing = tuple(
-            (crossings[cid].sign, kind, crossings[cid].pair())
-            for cid, kind in st.smoothings)
-        states.append((st.components, per_crossing))
-    plan = _StatePlan(writhe(diagram), states)
+    plan = _StatePlan(writhe(diagram),
+                      tuple((crossings[cid].sign, crossings[cid].pair())
+                            for cid in sorted(crossings)),
+                      state_components(diagram))
     if len(_PLANS) > 64:
         _PLANS.clear()
     _PLANS[key] = plan
     return plan
+
+
+def _evaluator(plan: _StatePlan, br: VirtualBracket):
+    """The state sum of one diagram under one bracket, as a function from a
+    coloring to its value in range(m).
+
+    Per coloring it reads the three coefficients of each crossing, expands
+    the products of all states level by level in the order of the component
+    table, and weighs each by delta^components * omega^(-writhe), reducing
+    mod m once at the end.
+    """
+    m = br.modulus.m
+
+    def triples(t0: Table, t1: Table, t2: Table) -> tuple:
+        return tuple(tuple(zip(*rows)) for rows in zip(t0, t1, t2))
+
+    by_sign = {1: triples(br.A, br.B, br.V), -1: triples(br.C, br.D, br.U)}
+    steps = [(by_sign[sign], i, j) for sign, (i, j) in plan.crossings]
+    wfac = pow(br.omega, -plan.writhe, m)
+    scale = [pow(br.delta, k, m) * wfac % m for k in range(max(plan.components) + 1)]
+    weights = [scale[k] for k in plan.components]
+
+    def value(coloring: tuple[int, ...]) -> int:
+        prods = [1]
+        for table, i, j in steps:
+            coeffs = table[coloring[i]][coloring[j]]
+            prods = [p * c for p in prods for c in coeffs]
+        return sum(map(mul, weights, prods)) % m
+
+    return value
 
 
 def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
@@ -323,57 +413,60 @@ def evaluate(diagram: KnotoidDiagram, coloring: tuple[int, ...],
              br: VirtualBracket) -> RingElement:
     """State-sum value of one colored diagram."""
     _check_coloring(diagram, coloring, br.biquandle)
-    return _evaluate_fast(_plan(diagram), coloring, br)
+    return br.modulus.element(_evaluator(_plan(diagram), br)(coloring))
 
 
-def _evaluate_fast(plan: _StatePlan, coloring: tuple[int, ...],
-                   br: VirtualBracket) -> RingElement:
-    m = br.modulus.m
-    total = 0
-    for comp, per_crossing in plan.states:
-        prod = pow(br.delta, comp, m)
-        for sign, kind, (i, j) in per_crossing:
-            prod = prod * br.table(LETTER[(sign, kind)])[coloring[i]][coloring[j]] % m
-            if not prod:
-                break
-        total = (total + prod) % m
-    wr = plan.writhe
-    wfac = pow(inverse_mod(br.omega, m), wr, m) if wr >= 0 \
-        else pow(br.omega, -wr, m)
-    return br.modulus.element(total * wfac)
+class Invariants(NamedTuple):
+    """What one coloring pass yields: the counting matrix and, when a
+    bracket was given, the bracket matrix.  Entry (i, j) of both covers the
+    colorings with tail x_{i+1} and head x_{j+1}."""
+    counting_matrix: list[list[int]]
+    bracket_matrix: list[list[BracketPolynomial]] | None = None
+
+    @property
+    def counting_invariant(self) -> int:
+        return sum(map(sum, self.counting_matrix))
+
+    @property
+    def bracket_polynomial(self) -> BracketPolynomial | None:
+        if self.bracket_matrix is None:
+            return None
+        return reduce(poly_add, (p for row in self.bracket_matrix for p in row))
+
+
+def invariants(diagram: KnotoidDiagram, x: FiniteBiquandle,
+               br: VirtualBracket | None = None) -> Invariants:
+    """Enumerate the colorings once, evaluating each under ``br`` if given."""
+    if br is None:
+        return Invariants(counting_matrix(diagram, x))
+    value = _evaluator(_plan(diagram), br)
+    cells: list[list[dict[int, int]]] = [[{} for _ in range(x.n)]
+                                         for _ in range(x.n)]
+    for f in iter_colorings(diagram, x):
+        v = value(f)
+        cell = cells[f[0]][f[-1]]
+        cell[v] = cell.get(v, 0) + 1
+    return Invariants([[sum(c.values()) for c in row] for row in cells],
+                      [[BracketPolynomial.from_dict(br.modulus, c) for c in row]
+                       for row in cells])
 
 
 def bracket_multiset(diagram: KnotoidDiagram, x: FiniteBiquandle,
                      br: VirtualBracket) -> dict[int, int]:
     """Multiset of values over all colorings, as value -> multiplicity."""
-    from .coloring import enumerate_colorings
-    plan = _plan(diagram)
-    out: dict[int, int] = {}
-    for f in enumerate_colorings(diagram, x):
-        v = _evaluate_fast(plan, f, br).value
-        out[v] = out.get(v, 0) + 1
-    return out
+    return bracket_polynomial(diagram, x, br).as_dict()
 
 
 def bracket_polynomial(diagram: KnotoidDiagram, x: FiniteBiquandle,
                        br: VirtualBracket) -> BracketPolynomial:
     """The multiset encoded as a formal u-exponent polynomial."""
-    return BracketPolynomial.from_dict(br.modulus,
-                                       bracket_multiset(diagram, x, br))
+    return invariants(diagram, x, br).bracket_polynomial
 
 
 def bracket_matrix(diagram: KnotoidDiagram, x: FiniteBiquandle,
                    br: VirtualBracket) -> list[list[BracketPolynomial]]:
     """Entry (i, j): polynomial over colorings with tail x_{i+1}, head x_{j+1}."""
-    from .coloring import enumerate_colorings
-    plan = _plan(diagram)
-    acc: list[list[dict[int, int]]] = [[{} for _ in range(x.n)] for _ in range(x.n)]
-    for f in enumerate_colorings(diagram, x):
-        v = _evaluate_fast(plan, f, br).value
-        cell = acc[f[0]][f[-1]]
-        cell[v] = cell.get(v, 0) + 1
-    return [[BracketPolynomial.from_dict(br.modulus, acc[i][j])
-             for j in range(x.n)] for i in range(x.n)]
+    return invariants(diagram, x, br).bracket_matrix
 
 
 # -- symbolic state sum ----------------------------------------------------------

@@ -19,10 +19,9 @@ from . import __version__
 from .biquandle import (BiquandleError, FiniteBiquandle, alexander_biquandle,
                         parse_operation_matrix, render_operation_matrix,
                         verify_biquandle_axioms)
-from .bracket import (BracketError, VirtualBracket, bracket_matrix,
-                      bracket_polynomial, fundamental_bracket, parse_bracket,
-                      render_bracket, render_symbolic, verify_bracket_axioms)
-from .coloring import counting_invariant, counting_matrix
+from .bracket import (BracketError, VirtualBracket, fundamental_bracket,
+                      invariants, parse_bracket, render_bracket,
+                      render_symbolic, verify_bracket_axioms)
 from .diagram import (DiagramError, KnotoidDiagram, insert_move, parse_diagram,
                       render_diagram, writhe)
 from .ring import RingError, poly_render
@@ -43,36 +42,49 @@ def _manifest(args: argparse.Namespace, started: float,
     }
 
 
-def _read(path: str) -> str:
+class CliExit(Exception):
+    """Ends a command with ``code`` after printing the message to stderr."""
+
+    def __init__(self, message: str, code: int = INPUT_ERROR):
+        super().__init__(message)
+        self.code = code
+
+
+def _read(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SystemExit2("cannot read %s: %s" % (path, exc))
-
-
-class SystemExit2(Exception):
-    """Input-level failure mapped to exit code 2."""
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliExit("cannot read %s: %s" % (path, exc))
 
 
 def _load_biquandle(path: str) -> FiniteBiquandle:
     try:
         return parse_operation_matrix(_read(path))
     except BiquandleError as exc:
-        raise SystemExit2("bad biquandle file %s: %s" % (path, exc))
+        raise CliExit("bad biquandle file %s: %s" % (path, exc))
+
+
+def _verified_biquandle(path: str) -> FiniteBiquandle:
+    """A table that the colorings may rely on: every axiom checked."""
+    x = _load_biquandle(path)
+    report = verify_biquandle_axioms(x)
+    if not report.passed:
+        raise CliExit("biquandle fails axioms: %s" % report, FAIL)
+    return x
 
 
 def _load_diagram(path: str) -> KnotoidDiagram:
     try:
         return parse_diagram(_read(path), name=Path(path).stem)
     except DiagramError as exc:
-        raise SystemExit2("bad diagram file %s: %s" % (path, exc))
+        raise CliExit("bad diagram file %s: %s" % (path, exc))
 
 
 def _load_bracket(path: str, x: FiniteBiquandle) -> VirtualBracket:
     try:
         return parse_bracket(_read(path), x)
-    except (BracketError, ValueError) as exc:
-        raise SystemExit2("bad bracket file %s: %s" % (path, exc))
+    except (BracketError, RingError, ValueError) as exc:
+        raise CliExit("bad bracket file %s: %s" % (path, exc))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -101,7 +113,7 @@ def cmd_biquandle_alexander(args) -> int:
                                 shift_under=args.shift_under,
                                 shift_over=args.shift_over)
     except (BiquandleError, RingError, ValueError) as exc:
-        raise SystemExit2(str(exc))
+        raise CliExit(str(exc))
     report = verify_biquandle_axioms(x)
     _emit(render_operation_matrix(x), args.out)
     if not report.passed:
@@ -112,18 +124,19 @@ def cmd_biquandle_alexander(args) -> int:
 
 def _invariant_record(d: KnotoidDiagram, x: FiniteBiquandle,
                       br: VirtualBracket | None) -> dict:
+    inv = invariants(d, x, br)
     rec = {
         "name": d.name,
         "classical_crossings": d.classical_count,
         "virtual_crossings": d.virtual_count,
         "writhe": writhe(d),
-        "counting_invariant": counting_invariant(d, x),
-        "counting_matrix": counting_matrix(d, x),
+        "counting_invariant": inv.counting_invariant,
+        "counting_matrix": inv.counting_matrix,
     }
     if br is not None:
-        rec["bracket_polynomial"] = poly_render(bracket_polynomial(d, x, br))
+        rec["bracket_polynomial"] = poly_render(inv.bracket_polynomial)
         rec["bracket_matrix"] = [[poly_render(p) for p in row]
-                                 for row in bracket_matrix(d, x, br)]
+                                 for row in inv.bracket_matrix]
     return rec
 
 
@@ -177,24 +190,14 @@ def _verified_bracket(args, x: FiniteBiquandle) -> VirtualBracket | None:
     if not args.no_verify:
         report = verify_bracket_axioms(br)
         if not report.passed:
-            print("bracket fails %d axiom instances (use --no-verify to force)"
-                  % len(report.violations), file=sys.stderr)
-            raise SystemExitCode(FAIL)
+            raise CliExit("bracket fails %d axiom instances (use --no-verify "
+                          "to force)" % len(report.violations), FAIL)
     return br
-
-
-class SystemExitCode(Exception):
-    def __init__(self, code: int):
-        self.code = code
 
 
 def cmd_invariants(args) -> int:
     started = time.time()
-    x = _load_biquandle(args.biquandle)
-    report = verify_biquandle_axioms(x)
-    if not report.passed:
-        print("biquandle fails axioms: %s" % report, file=sys.stderr)
-        return FAIL
+    x = _verified_biquandle(args.biquandle)
     d = _load_diagram(args.diagram)
     br = _verified_bracket(args, x)
     rec = _invariant_record(d, x, br)
@@ -211,27 +214,38 @@ def cmd_invariants(args) -> int:
     return OK
 
 
+def _statuses(path: Path) -> dict[str, str]:
+    """Diagram name -> status from a corpus manifest, if there is one."""
+    if not path.exists():
+        return {}
+    try:
+        manifest = json.loads(_read(path))
+    except ValueError as exc:
+        raise CliExit("bad manifest %s: %s" % (path, exc))
+    if not (isinstance(manifest, dict)
+            and all(isinstance(v, dict) for v in manifest.values())):
+        raise CliExit("bad manifest %s: expected an object of objects" % path)
+    return {k: v.get("status", "") for k, v in manifest.items()}
+
+
 def cmd_corpus(args) -> int:
     started = time.time()
-    x = _load_biquandle(args.biquandle)
+    x = _verified_biquandle(args.biquandle)
     br = _verified_bracket(args, x)
     root = Path(args.dir)
     if not root.is_dir():
-        raise SystemExit2("not a directory: %s" % root)
-    manifest_path = root / "manifest.json"
-    statuses = {}
-    if manifest_path.exists():
-        statuses = {k: v.get("status", "")
-                    for k, v in json.loads(manifest_path.read_text()).items()}
+        raise CliExit("not a directory: %s" % root)
+    statuses = _statuses(root / "manifest.json")
     records, errors = [], []
     for path in sorted(root.glob("*.knd")):
         try:
             d = parse_diagram(path.read_text(encoding="utf-8"), name=path.stem)
-            rec = _invariant_record(d, x, br)
-            rec["status"] = statuses.get(path.stem, "unlisted")
-            records.append(rec)
-        except (DiagramError, BracketError) as exc:
+        except (OSError, UnicodeDecodeError, DiagramError) as exc:
             errors.append("%s: %s" % (path.name, exc))
+            continue
+        rec = _invariant_record(d, x, br)
+        rec["status"] = statuses.get(path.stem, "unlisted")
+        records.append(rec)
     for err in errors:
         print("error: %s" % err, file=sys.stderr)
     payload = {"manifest": _manifest(args, started, [str(root)]),
@@ -244,13 +258,11 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    x = _load_biquandle(args.biquandle)
+    x = _verified_biquandle(args.biquandle)
     d = _load_diagram(args.diagram)
     br = _verified_bracket(args, x)
     rng = random.Random(args.seed)
-    base_counts = counting_matrix(d, x)
-    base_bracket = ([[poly_render(p) for p in row]
-                     for row in bracket_matrix(d, x, br)] if br else None)
+    base = invariants(d, x, br)
     for trial in range(args.trials):
         move = rng.choice(["R1", "VR1", "R2", "VR2"])
         gap = rng.randint(0, len(d.passes))
@@ -260,12 +272,7 @@ def cmd_selftest(args) -> int:
             sign=rng.choice([1, -1]),
             over_first=rng.choice([True, False]),
             parallel=rng.choice([True, False]))
-        ok = counting_matrix(rewritten, x) == base_counts
-        if ok and br is not None:
-            got = [[poly_render(p) for p in row]
-                   for row in bracket_matrix(rewritten, x, br)]
-            ok = got == base_bracket
-        if not ok:
+        if invariants(rewritten, x, br) != base:
             print("FAIL at trial %d (%s): rewritten code below" % (trial, move))
             print(render_diagram(rewritten))
             return FAIL
@@ -280,7 +287,7 @@ def cmd_search(args) -> int:
                            budget=args.budget, seed=args.seed,
                            require_delta_unit=args.require_delta_unit)
     except ValueError as exc:
-        raise SystemExit2(str(exc))
+        raise CliExit(str(exc))
     result = search_brackets(x, cfg)
     outdir = Path(args.out_dir) if args.out_dir else None
     if outdir:
@@ -307,7 +314,7 @@ def cmd_moves_insert(args) -> int:
                                 over_first=not args.under_first,
                                 parallel=not args.antiparallel)
     except DiagramError as exc:
-        raise SystemExit2(str(exc))
+        raise CliExit(str(exc))
     _emit(render_diagram(rewritten), args.out)
     return OK
 
@@ -426,10 +433,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
+    except CliExit as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return INPUT_ERROR
-    except SystemExitCode as exc:
         return exc.code
 
 

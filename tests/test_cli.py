@@ -193,3 +193,64 @@ def test_bracket_fundamental(capsys):
     out = capsys.readouterr().out
     assert "states: 9" in out
     assert "C[a4,a1]" in out
+
+
+# -- input hardening: each bad input ends with exit 1 or 2 and one line -------------
+
+NOT_A_BIQUANDLE = "3\n1 2 1 3 3 3\n2 1 3 1 1 1\n1 3 2 2 2 2\n"
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    return err
+
+
+def bracket_with(tmp_path, header=None, tail=None):
+    lines = (BRK / "z5_involution.bvb").read_text().splitlines()
+    lines[0] = header or lines[0]
+    lines[-1] = tail or lines[-1]
+    path = tmp_path / "b.bvb"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_bracket_modulus_below_two(tmp_path, capsys):
+    for m in (0, 1, -5):
+        bad = bracket_with(tmp_path, header="3 %d" % m)
+        assert run(["invariants", corpus_dir() / "2.1.1.knd",
+                    "--biquandle", BIQ / "z3_involution.biq", "--bracket", bad]) == 2
+        assert "modulus" in one_line_error(capsys)
+
+
+def test_bracket_omega_not_a_unit(tmp_path, capsys):
+    bad = bracket_with(tmp_path, header="3 4", tail="delta 2 omega 4")
+    assert run(["invariants", corpus_dir() / "2.1.1.knd",
+                "--biquandle", BIQ / "z3_involution.biq", "--bracket", bad]) == 2
+    assert "omega" in one_line_error(capsys)
+
+
+def test_corpus_and_selftest_check_the_biquandle(tmp_path, capsys):
+    bad = tmp_path / "bad.biq"
+    bad.write_text(NOT_A_BIQUANDLE)
+    assert run(["corpus", "--dir", corpus_dir(), "--biquandle", bad]) == 1
+    assert "biquandle fails axioms" in one_line_error(capsys)
+    assert run(["selftest", corpus_dir() / "2.1.1.knd", "--biquandle", bad]) == 1
+    assert "biquandle fails axioms" in one_line_error(capsys)
+
+
+def test_corpus_malformed_manifest(tmp_path, capsys):
+    (tmp_path / "good.knd").write_text("name good\ncode O+1,U+1\n")
+    for text in ("{not json", "[1, 2]", '{"good": 3}'):
+        (tmp_path / "manifest.json").write_text(text)
+        assert run(["corpus", "--dir", tmp_path,
+                    "--biquandle", BIQ / "z3_coloring.biq"]) == 2
+        assert "bad manifest" in one_line_error(capsys)
+
+
+def test_invariants_of_a_deep_code(tmp_path, capsys):
+    kinks = ",".join("O+%d,U+%d" % (k, k) for k in range(1, 700))
+    deep = tmp_path / "kinks.knd"
+    deep.write_text("name kinks\ncode %s\n" % kinks)
+    assert run(["invariants", deep, "--biquandle", BIQ / "z3_involution.biq"]) == 0
+    assert "colorings: 3" in capsys.readouterr().out
