@@ -16,9 +16,10 @@ Instances are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .ring import Modulus, extended_gcd, NotAUnit
+from .ring import Modulus, NotAUnit
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -162,8 +163,7 @@ def alexander_biquandle(modulus: Modulus | int, t: int, r: int,
     """
     m = modulus.m if isinstance(modulus, Modulus) else Modulus(modulus).m
     for name, val in (("t", t), ("r", r)):
-        g, _, _ = extended_gcd(val % m, m)
-        if g != 1:
+        if math.gcd(val, m) != 1:
             raise NotAUnit("%s=%d is not a unit mod %d" % (name, val, m))
 
     def idx(residue: int) -> int:

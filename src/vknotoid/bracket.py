@@ -19,9 +19,10 @@ positive crossings, (u_out, o_in) at negative ones.
 Axiom checking covers the 23 equation families a valid bracket must satisfy
 for the state sum to be move-invariant.  The triple families (9)-(23) were
 derived mechanically from the state sum on three-strand tangles (and the
-pair families from the two R2 variants), so the exact index placement in
-(9), (10) and (11) below is the one forced by invariance; known-good data
-fails under the nearby variant readings.
+pair families from the two R2 variants).  Each family is written once:
+:func:`pair_residuals` holds (3)-(8), :func:`triple_slots` the index
+placement of (9)-(23) forced by invariance, and :func:`triple_residuals`
+their terms; the verifier and the search both read these.
 
 Evaluation is compiled once per diagram into a state plan: the writhe, each
 crossing's sign and argument pair, and a byte table of the component counts
@@ -37,6 +38,7 @@ symbolic form and as the reference the tests compare against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
@@ -44,11 +46,12 @@ from typing import NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
 from .coloring import counting_matrix, iter_colorings
-from .diagram import KnotoidDiagram, writhe
-from .ring import (BracketPolynomial, Modulus, RingElement, inverse_mod,
-                   extended_gcd, NotAUnit, poly_add)
+from .diagram import (KnotoidDiagram, crossing_relations, relation_holds,
+                      writhe)
+from .ring import BracketPolynomial, Modulus, RingElement, NotAUnit, poly_add
 
 Table = tuple[tuple[int, ...], ...]
+ABV = tuple[int, int, int]          # the (A, B, V) coefficients at one pair
 
 SMOOTHINGS = ("vertical", "horizontal", "virtual")
 LETTER = {
@@ -84,8 +87,7 @@ class VirtualBracket:
             tbl = getattr(self, name)
             if len(tbl) != n or any(len(r) != n for r in tbl):
                 raise BracketError("table %s is not %dx%d" % (name, n, n))
-        g, _, _ = extended_gcd(self.omega % self.modulus.m, self.modulus.m)
-        if g != 1:
+        if math.gcd(self.omega, self.modulus.m) != 1:
             raise NotAUnit("omega=%d is not a unit mod %d"
                            % (self.omega, self.modulus.m))
         object.__setattr__(self, "delta", self.delta % self.modulus.m)
@@ -140,7 +142,73 @@ def render_bracket(br: VirtualBracket) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- axiom verification --------------------------------------------------------
+# -- the bracket equations -----------------------------------------------------
+
+def pair_residuals(delta: int, a: int, b: int, v: int,
+                   c: int, d: int, u: int) -> tuple[int, ...]:
+    """Left minus right of the pair families (3)-(8), in family order, for
+    the coefficients (A, B, V, C, D, U) at one argument pair."""
+    return (a * c + v * u - 1,
+            b * d + v * u - 1,
+            a * u + v * c,
+            b * u + v * d,
+            delta * b * d + a * d + b * c,
+            delta * a * c + a * d + b * c)
+
+
+def triple_slots(x: FiniteBiquandle, a: int, b: int,
+                 c: int) -> tuple[tuple[int, int], ...]:
+    """The six argument pairs (ab, bc, ac, p, q, r) that the triple families
+    (9)-(23) read at the element triple (a, b, c).
+
+    This placement is the one forced by invariance of the state sum on
+    three-strand tangles; known-good data fails under the nearby readings.
+    """
+    return ((a, b), (b, c), (a, c),
+            (x.under_op(a, b), x.over_op(c, b)),
+            (x.over_op(b, a), x.over_op(c, a)),
+            (x.under_op(a, c), x.under_op(b, c)))
+
+
+def triple_residuals(delta: int, ab: ABV, bc: ABV, ac: ABV, p: ABV, q: ABV,
+                     r: ABV) -> tuple[int, ...]:
+    """Left minus right of the triple families (9)-(23), in family order.
+
+    Each argument is the (A, B, V) coefficient triple at the slot of the same
+    name in :func:`triple_slots`.
+    """
+    Aab, Bab, Vab = ab
+    Abc, Bbc, Vbc = bc
+    Aac, Bac, Vac = ac
+    Ap, Bp, Vp = p
+    Aq, Bq, Vq = q
+    Ar, Br, Vr = r
+    return (
+        Aab * Ap * Abc + Vab * Ap * Vbc - (Aq * Aac * Ar + Vq * Aac * Vr),
+        (Aab * Ap * Bbc + Bab * Ap * Abc + delta * Bab * Ap * Bbc
+         + Bab * Ap * Vbc + Bab * Bp * Bbc + Bab * Vp * Bbc
+         + Vab * Ap * Bbc) - Aq * Bac * Ar,
+        Aab * Bp * Abc - (Aq * Aac * Br + Bq * Aac * Ar + delta * Bq * Aac * Br
+                          + Bq * Aac * Vr + Bq * Bac * Br + Bq * Vac * Br
+                          + Vq * Aac * Br),
+        Aab * Vp * Abc - (Aq * Aac * Vr + Vq * Aac * Ar),
+        Aab * Ap * Vbc + Vab * Ap * Abc - Aq * Vac * Ar,
+        Bab * Bp * Abc + Bab * Vp * Vbc - (Aq * Bac * Br + Vq * Vac * Br),
+        Aab * Bp * Bbc + Vab * Vp * Bbc - (Bq * Bac * Ar + Bq * Vac * Vr),
+        Bab * Bp * Vbc + Bab * Vp * Abc - Aq * Bac * Vr,
+        Aab * Bp * Vbc - (Bq * Bac * Vr + Bq * Vac * Ar),
+        Vab * Bp * Abc - (Aq * Vac * Br + Vq * Bac * Br),
+        Aab * Vp * Bbc + Vab * Bp * Bbc - Vq * Bac * Ar,
+        Vab * Vp * Abc - Aq * Vac * Vr,
+        Aab * Vp * Vbc - Vq * Vac * Ar,
+        Vab * Bp * Vbc - Vq * Bac * Vr,
+        Vab * Vp * Vbc - Vq * Vac * Vr,
+    )
+
+
+_PAIR_FAMILIES = tuple(str(k) for k in range(3, 9))
+_TRIPLE_FAMILIES = tuple(str(k) for k in range(9, 24))
+
 
 def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     """Check equation families (1)-(23); failures are reported per family
@@ -149,7 +217,8 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     n, m, d = x.n, br.modulus.m, br.delta
     A, B, V, C, D, U = br.A, br.B, br.V, br.C, br.D, br.U
     w = br.omega
-    winv = inverse_mod(w, m)
+    winv = pow(w, -1, m)
+    abv = [list(zip(*rows)) for rows in zip(A, B, V)]    # abv[i][j] = (A, B, V)
     bad: list[tuple[str, tuple]] = []
 
     for a in range(n):
@@ -159,57 +228,18 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
             bad.append(("2", (a + 1,)))
     for a in range(n):
         for b in range(n):
-            av, bv, vv = A[a][b], B[a][b], V[a][b]
-            cv, dv, uv = C[a][b], D[a][b], U[a][b]
-            pair_eqs = {
-                "3": av * cv + vv * uv - 1,
-                "4": bv * dv + vv * uv - 1,
-                "5": av * uv + vv * cv,
-                "6": bv * uv + vv * dv,
-                "7": d * bv * dv + av * dv + bv * cv,
-                "8": d * av * cv + av * dv + bv * cv,
-            }
-            for key, val in pair_eqs.items():
+            vals = pair_residuals(d, *abv[a][b], C[a][b], D[a][b], U[a][b])
+            for key, val in zip(_PAIR_FAMILIES, vals):
                 if val % m:
                     bad.append((key, (a + 1, b + 1)))
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                p = (x.under_op(a, b), x.over_op(c, b))
-                q = (x.over_op(b, a), x.over_op(c, a))
-                r = (x.under_op(a, c), x.under_op(b, c))
-                Aab, Bab, Vab = A[a][b], B[a][b], V[a][b]
-                Abc, Bbc, Vbc = A[b][c], B[b][c], V[b][c]
-                Aac, Bac, Vac = A[a][c], B[a][c], V[a][c]
-                Ap, Bp, Vp = A[p[0]][p[1]], B[p[0]][p[1]], V[p[0]][p[1]]
-                Aq, Bq, Vq = A[q[0]][q[1]], B[q[0]][q[1]], V[q[0]][q[1]]
-                Ar, Br, Vr = A[r[0]][r[1]], B[r[0]][r[1]], V[r[0]][r[1]]
-                triple_eqs = {
-                    "9": Aab * Ap * Abc + Vab * Ap * Vbc
-                         - (Aq * Aac * Ar + Vq * Aac * Vr),
-                    "10": (Aab * Ap * Bbc + Bab * Ap * Abc + d * Bab * Ap * Bbc
-                           + Bab * Ap * Vbc + Bab * Bp * Bbc + Bab * Vp * Bbc
-                           + Vab * Ap * Bbc) - Aq * Bac * Ar,
-                    "11": Aab * Bp * Abc
-                          - (Aq * Aac * Br + Bq * Aac * Ar + d * Bq * Aac * Br
-                             + Bq * Aac * Vr + Bq * Bac * Br + Bq * Vac * Br
-                             + Vq * Aac * Br),
-                    "12": Aab * Vp * Abc - (Aq * Aac * Vr + Vq * Aac * Ar),
-                    "13": Aab * Ap * Vbc + Vab * Ap * Abc - Aq * Vac * Ar,
-                    "14": Bab * Bp * Abc + Bab * Vp * Vbc
-                          - (Aq * Bac * Br + Vq * Vac * Br),
-                    "15": Aab * Bp * Bbc + Vab * Vp * Bbc
-                          - (Bq * Bac * Ar + Bq * Vac * Vr),
-                    "16": Bab * Bp * Vbc + Bab * Vp * Abc - Aq * Bac * Vr,
-                    "17": Aab * Bp * Vbc - (Bq * Bac * Vr + Bq * Vac * Ar),
-                    "18": Vab * Bp * Abc - (Aq * Vac * Br + Vq * Bac * Br),
-                    "19": Aab * Vp * Bbc + Vab * Bp * Bbc - Vq * Bac * Ar,
-                    "20": Vab * Vp * Abc - Aq * Vac * Vr,
-                    "21": Aab * Vp * Vbc - Vq * Vac * Ar,
-                    "22": Vab * Bp * Vbc - Vq * Bac * Vr,
-                    "23": Vab * Vp * Vbc - Vq * Vac * Vr,
-                }
-                for key, val in triple_eqs.items():
+                ab, bc, ac, p, q, r = triple_slots(x, a, b, c)
+                vals = triple_residuals(
+                    d, abv[ab[0]][ab[1]], abv[bc[0]][bc[1]], abv[ac[0]][ac[1]],
+                    abv[p[0]][p[1]], abv[q[0]][q[1]], abv[r[0]][r[1]])
+                for key, val in zip(_TRIPLE_FAMILIES, vals):
                     if val % m:
                         bad.append((key, (a + 1, b + 1, c + 1)))
     return AxiomReport(not bad, tuple(bad))
@@ -397,16 +427,13 @@ def _evaluator(plan: _StatePlan, br: VirtualBracket):
 
 def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
                     x: FiniteBiquandle) -> None:
-    for cr in diagram.crossings().values():
-        c = coloring
-        if cr.sign > 0:
-            ok = (c[cr.u_out] == x.under_op(c[cr.u_in], c[cr.o_out])
-                  and c[cr.o_in] == x.over_op(c[cr.o_out], c[cr.u_in]))
-        else:
-            ok = (c[cr.u_in] == x.under_op(c[cr.u_out], c[cr.o_in])
-                  and c[cr.o_out] == x.over_op(c[cr.o_in], c[cr.u_out]))
-        if not ok:
-            raise ColoringMismatch("coloring violates a crossing relation")
+    if len(coloring) != diagram.semi_arc_count \
+            or not all(c in range(x.n) for c in coloring):
+        raise ColoringMismatch("coloring needs %d colors in 0..%d"
+                               % (diagram.semi_arc_count, x.n - 1))
+    if not all(relation_holds(r, coloring, x)
+               for r in crossing_relations(diagram).relations):
+        raise ColoringMismatch("coloring violates a crossing relation")
 
 
 def evaluate(diagram: KnotoidDiagram, coloring: tuple[int, ...],
@@ -490,14 +517,14 @@ def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
     """Symbolic state sum over the identity coloring: one term per state,
     exactly 3^c of them."""
     crossings = diagram.crossings()
+    pairs = {cid: cr.pair() for cid, cr in crossings.items()}
     wr = writhe(diagram)
     terms = []
     for st in enumerate_states(diagram):
         facs = []
         for cid, kind in st.smoothings:
-            cr = crossings[cid]
-            i, j = cr.pair()
-            facs.append((LETTER[(cr.sign, kind)], (i + 1, j + 1)))
+            i, j = pairs[cid]
+            facs.append((LETTER[(crossings[cid].sign, kind)], (i + 1, j + 1)))
         terms.append(SymbolicTerm(-wr, st.components, tuple(facs)))
     return SymbolicBracket(diagram.classical_count, tuple(terms))
 
@@ -529,6 +556,4 @@ def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],
         total = (total + prod) % m
     # all terms share the same omega exponent (-writhe)
     oexp = sym.terms[0].omega_exp if sym.terms else 0
-    wfac = pow(br.omega, oexp, m) if oexp >= 0 \
-        else pow(inverse_mod(br.omega, m), -oexp, m)
-    return br.modulus.element(total * wfac)
+    return br.modulus.element(total * pow(br.omega, oexp, m))

@@ -281,7 +281,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_search(args) -> int:
-    x = _load_biquandle(args.biquandle)
+    x = _verified_biquandle(args.biquandle)
     try:
         cfg = SearchConfig(modulus=args.modulus, ansatz=args.ansatz,
                            budget=args.budget, seed=args.seed,

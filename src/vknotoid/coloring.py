@@ -25,7 +25,8 @@ Coloring = tuple[int, ...]
 
 def _forced_outputs(x: FiniteBiquandle, sign: int, u_in: int,
                     o_in: int) -> tuple[int, int]:
-    """(u_out, o_out) forced by the crossing relations from the in-colors."""
+    """(u_out, o_out) forced from the in-colors by the two relations of
+    :meth:`~vknotoid.diagram.Crossing.relations`, solved for the out-colors."""
     if sign > 0:
         o_out = x.over_inv(o_in, u_in)       # o_in = o_out over u_in
         u_out = x.under_op(u_in, o_out)

@@ -82,11 +82,20 @@ class Crossing(NamedTuple):
     def o_out(self) -> int:
         return self.over_pass + 1
 
-    def pair(self) -> tuple[int, int]:
-        """Semi-arc indices of the operation argument pair (x, y)."""
+    def relations(self) -> tuple[tuple[str, int, int, int], ...]:
+        """The crossing's two relations ``x op y = result`` as
+        (op, x, y, result) with semi-arc indices, under relation first."""
         if self.sign > 0:
-            return (self.u_in, self.o_out)
-        return (self.u_out, self.o_in)
+            return (("under", self.u_in, self.o_out, self.u_out),
+                    ("over", self.o_out, self.u_in, self.o_in))
+        return (("under", self.u_out, self.o_in, self.u_in),
+                ("over", self.o_in, self.u_out, self.o_out))
+
+    def pair(self) -> tuple[int, int]:
+        """Semi-arc indices of the operation argument pair (x, y): the
+        arguments of the under relation."""
+        _, x, y, _ = self.relations()[0]
+        return (x, y)
 
 
 _TOKEN_RE = re.compile(r"^(?:([OU])([+-])(\d+)|V(\d+))$")
@@ -249,24 +258,13 @@ class Presentation:
 
 
 def crossing_relations(diagram: KnotoidDiagram) -> Presentation:
-    """Two relations per classical crossing, none for virtual ones.
-
-    Positive crossing with ports (u_in, u_out, o_in, o_out):
-        u_in under o_out = u_out      o_out over u_in = o_in
-    Negative crossing:
-        u_out under o_in = u_in       o_in over u_out = o_out
-    """
-    rels = []
-    for cid in sorted(diagram.crossings()):
-        c = diagram.crossings()[cid]
-        g = lambda arc: arc + 1
-        if c.sign > 0:
-            rels.append(Relation("under", g(c.u_in), g(c.o_out), g(c.u_out)))
-            rels.append(Relation("over", g(c.o_out), g(c.u_in), g(c.o_in)))
-        else:
-            rels.append(Relation("under", g(c.u_out), g(c.o_in), g(c.u_in)))
-            rels.append(Relation("over", g(c.o_in), g(c.u_out), g(c.o_out)))
-    return Presentation(tuple(range(1, diagram.semi_arc_count + 1)), tuple(rels))
+    """Two relations per classical crossing (:meth:`Crossing.relations`, in
+    ascending crossing id), none for virtual ones."""
+    crossings = diagram.crossings()
+    rels = tuple(Relation(op, x + 1, y + 1, result + 1)
+                 for cid in sorted(crossings)
+                 for op, x, y, result in crossings[cid].relations())
+    return Presentation(tuple(range(1, diagram.semi_arc_count + 1)), rels)
 
 
 def relation_holds(rel: Relation, colors: tuple[int, ...],

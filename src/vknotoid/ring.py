@@ -23,16 +23,6 @@ class NotAUnit(RingError):
     """Inversion of an element that has no multiplicative inverse."""
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 @dataclass(frozen=True)
 class Modulus:
     m: int
@@ -96,15 +86,10 @@ class RingElement:
 
 def inverse(a: RingElement) -> RingElement:
     """Multiplicative inverse in Z_m; raises NotAUnit when gcd(a, m) != 1."""
-    g, x, _ = extended_gcd(a.value, a.modulus.m)
-    if g != 1:
-        raise NotAUnit("%s is not a unit" % a)
-    return a.modulus.element(x)
-
-
-def inverse_mod(value: int, m: int) -> int:
-    """Plain-integer convenience wrapper around :func:`inverse`."""
-    return inverse(Modulus(m).element(value)).value
+    try:
+        return a.modulus.element(pow(a.value, -1, a.modulus.m))
+    except ValueError:
+        raise NotAUnit("%s is not a unit" % a) from None
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,11 @@ which collapses the search to the A/B/V side: per-element diagonal triples
 constrained by equations (1)-(2), then off-diagonal triples per ansatz, with
 the triple equations (9)-(23) checked incrementally as soon as all six pair
 slots they mention are assigned.  omega is derived from equation (1) at the
-first element and never searched.
+first element and never searched.  The equations and the slot placement are
+the verifier's own (:func:`~vknotoid.bracket.pair_residuals`,
+:func:`~vknotoid.bracket.triple_slots`,
+:func:`~vknotoid.bracket.triple_residuals`), so the search and the final
+check cannot disagree on what a bracket is.
 
 The diagonal ansatz fixes off-diagonal A = B = 0 (so C = D = 0 and
 U = V^{-1} there), mirroring the shape of the known small examples; the full
@@ -16,12 +20,14 @@ re-verified from scratch before being reported.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .biquandle import FiniteBiquandle
-from .bracket import VirtualBracket, verify_bracket_axioms
-from .ring import Modulus, extended_gcd, inverse_mod
+from .bracket import (VirtualBracket, pair_residuals, triple_residuals,
+                      triple_slots, verify_bracket_axioms)
+from .ring import Modulus
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ def solve_pair(a: int, b: int, v: int, delta: int,
         det = (m00 * m00 - m01 * m01) % p
         if det == 0:
             return None
-        dinv = inverse_mod(det, p)
+        dinv = pow(det, -1, p)
         return (m00 * dinv % p, (-m01) * dinv % p)
 
     cu = solve2(a, v)
@@ -75,66 +81,9 @@ def solve_pair(a: int, b: int, v: int, delta: int,
     d, u2 = du
     if u1 != u2:
         return None
-    u = u1
-    if (delta * b * d + a * d + b * c) % p:
+    if any(r % p for r in pair_residuals(delta, a, b, v, c, d, u1)[4:]):
         return None
-    if (delta * a * c + a * d + b * c) % p:
-        return None
-    return (c, d, u)
-
-
-def _triple_dependencies(x: FiniteBiquandle) -> list[tuple[tuple, frozenset]]:
-    """For each (a, b, c): the set of pair slots its equations read."""
-    deps = []
-    n = x.n
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                pairs = frozenset([
-                    (a, b), (b, c), (a, c),
-                    (x.under_op(a, b), x.over_op(c, b)),
-                    (x.over_op(b, a), x.over_op(c, a)),
-                    (x.under_op(a, c), x.under_op(b, c)),
-                ])
-                deps.append(((a, b, c), pairs))
-    return deps
-
-
-def _triples_hold(x: FiniteBiquandle, tabs: dict[str, dict], delta: int,
-                  p: int, triple: tuple[int, int, int]) -> bool:
-    a, b, c = triple
-    A, B, V = tabs["A"], tabs["B"], tabs["V"]
-    pp = (x.under_op(a, b), x.over_op(c, b))
-    q = (x.over_op(b, a), x.over_op(c, a))
-    r = (x.under_op(a, c), x.under_op(b, c))
-    Aab, Bab, Vab = A[(a, b)], B[(a, b)], V[(a, b)]
-    Abc, Bbc, Vbc = A[(b, c)], B[(b, c)], V[(b, c)]
-    Aac, Bac, Vac = A[(a, c)], B[(a, c)], V[(a, c)]
-    Ap, Bp, Vp = A[pp], B[pp], V[pp]
-    Aq, Bq, Vq = A[q], B[q], V[q]
-    Ar, Br, Vr = A[r], B[r], V[r]
-    checks = (
-        Aab * Ap * Abc + Vab * Ap * Vbc - (Aq * Aac * Ar + Vq * Aac * Vr),
-        (Aab * Ap * Bbc + Bab * Ap * Abc + delta * Bab * Ap * Bbc
-         + Bab * Ap * Vbc + Bab * Bp * Bbc + Bab * Vp * Bbc
-         + Vab * Ap * Bbc) - Aq * Bac * Ar,
-        Aab * Bp * Abc - (Aq * Aac * Br + Bq * Aac * Ar + delta * Bq * Aac * Br
-                          + Bq * Aac * Vr + Bq * Bac * Br + Bq * Vac * Br
-                          + Vq * Aac * Br),
-        Aab * Vp * Abc - (Aq * Aac * Vr + Vq * Aac * Ar),
-        Aab * Ap * Vbc + Vab * Ap * Abc - Aq * Vac * Ar,
-        Bab * Bp * Abc + Bab * Vp * Vbc - (Aq * Bac * Br + Vq * Vac * Br),
-        Aab * Bp * Bbc + Vab * Vp * Bbc - (Bq * Bac * Ar + Bq * Vac * Vr),
-        Bab * Bp * Vbc + Bab * Vp * Abc - Aq * Bac * Vr,
-        Aab * Bp * Vbc - (Bq * Bac * Vr + Bq * Vac * Ar),
-        Vab * Bp * Abc - (Aq * Vac * Br + Vq * Bac * Br),
-        Aab * Vp * Bbc + Vab * Bp * Bbc - Vq * Bac * Ar,
-        Vab * Vp * Abc - Aq * Vac * Vr,
-        Aab * Vp * Vbc - Vq * Vac * Ar,
-        Vab * Bp * Vbc - Vq * Bac * Vr,
-        Vab * Vp * Vbc - Vq * Vac * Vr,
-    )
-    return not any(v % p for v in checks)
+    return (c, d, u1)
 
 
 def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
@@ -146,17 +95,18 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     p = cfg.modulus
     n = x.n
     rng = random.Random(cfg.seed)
-    deps = _triple_dependencies(x)
     diag_slots = [(i, i) for i in range(n)]
     off_slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     rng.shuffle(off_slots)
     slot_order = diag_slots + off_slots
     slot_rank = {s: k for k, s in enumerate(slot_order)}
-    # triples become checkable once their highest-ranked slot is assigned
-    by_last_slot: dict[int, list[tuple[int, int, int]]] = {}
-    for triple, pairs in deps:
-        last = max(slot_rank[s] for s in pairs)
-        by_last_slot.setdefault(last, []).append(triple)
+    # a triple's equations become checkable once its highest-ranked slot is
+    # assigned
+    checks_at: dict[int, list[tuple]] = {}
+    for triple in itertools.product(range(n), repeat=3):
+        slots = triple_slots(x, *triple)
+        checks_at.setdefault(max(map(slot_rank.__getitem__, slots)),
+                             []).append(slots)
 
     deltas = list(range(p))
     rng.shuffle(deltas)
@@ -174,14 +124,13 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
             w = (delta * a + b + v) % p
             if omega is not None and w != omega:
                 continue
-            g, _, _ = extended_gcd(w, p)
-            if g != 1:
+            if math.gcd(w, p) != 1:
                 continue
             cdu = solve_pair(a, b, v, delta, p)
             if cdu is None:
                 continue
             c, d, u = cdu
-            if (delta * c + d + u - inverse_mod(w, p)) % p:
+            if (delta * c + d + u - pow(w, -1, p)) % p:
                 continue
             out.append((a, b, v, c, d, u, w))
         return out
@@ -190,7 +139,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         out = []
         if cfg.ansatz == "diagonal":
             for v in range(1, p):
-                out.append((0, 0, v, 0, 0, inverse_mod(v, p)))
+                out.append((0, 0, v, 0, 0, pow(v, -1, p)))
             return out
         for a, b, v in itertools.product(values, repeat=3):
             cdu = solve_pair(a, b, v, delta, p)
@@ -199,11 +148,11 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         return out
 
     for delta in deltas:
-        if cfg.require_delta_unit:
-            g, _, _ = extended_gcd(delta, p)
-            if g != 1:
-                continue
-        tabs = {L: {} for L in "ABVCDU"}
+        if cfg.require_delta_unit and math.gcd(delta, p) != 1:
+            continue
+        # slot -> (a, b, v, c, d, u); entries left by deeper slots are
+        # overwritten before any check reads them
+        tabs: dict[tuple[int, int], tuple] = {}
         off_cands = off_candidates(delta)
 
         def place(slot_idx: int, omega: int | None) -> bool:
@@ -227,17 +176,13 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                 if nodes > cfg.budget:
                     exhausted = True
                     return False
-                a, b, v, c, d, u = cand[:6]
-                w = cand[6] if len(cand) > 6 else omega
-                for L, val in zip("ABVCDU", (a, b, v, c, d, u)):
-                    tabs[L][slot] = val
-                ok = all(_triples_hold(x, tabs, delta, p, t)
-                         for t in by_last_slot.get(slot_idx, ()))
-                if ok:
-                    if not place(slot_idx + 1, w):
-                        return False
-                for L in "ABVCDU":
-                    del tabs[L][slot]
+                tabs[slot] = cand
+                ok = all(not any(r % p for r in triple_residuals(
+                             delta, *[tabs[s][:3] for s in slots]))
+                         for slots in checks_at.get(slot_idx, ()))
+                if ok and not place(slot_idx + 1,
+                                    cand[6] if len(cand) > 6 else omega):
+                    return False
             return True
 
         if not place(0, None):
@@ -245,15 +190,12 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     return SearchResult(found, exhausted, nodes)
 
 
-def _assemble(x: FiniteBiquandle, p: int, tabs: dict[str, dict],
+def _assemble(x: FiniteBiquandle, p: int, tabs: dict[tuple[int, int], tuple],
               delta: int, omega: int) -> VirtualBracket:
     n = x.n
-
-    def tbl(L: str):
-        return tuple(tuple(tabs[L][(i, j)] for j in range(n)) for i in range(n))
-
-    return VirtualBracket(x, Modulus(p), tbl("A"), tbl("B"), tbl("V"),
-                          tbl("C"), tbl("D"), tbl("U"), delta, omega)
+    tables = (tuple(tuple(tabs[i, j][k] for j in range(n)) for i in range(n))
+              for k in range(6))
+    return VirtualBracket(x, Modulus(p), *tables, delta, omega)
 
 
 def brute_force_singleton(p: int) -> list[VirtualBracket]:
@@ -263,8 +205,7 @@ def brute_force_singleton(p: int) -> list[VirtualBracket]:
     out = []
     for delta, a, b, v in itertools.product(range(p), repeat=4):
         w = (delta * a + b + v) % p
-        g, _, _ = extended_gcd(w, p)
-        if g != 1:
+        if math.gcd(w, p) != 1:
             continue
         cdu = solve_pair(a, b, v, delta, p)
         if cdu is None:

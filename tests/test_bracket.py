@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +11,7 @@ from vknotoid.bracket import (ColoringMismatch, VirtualBracket,
                               evaluate_symbolic, fundamental_bracket,
                               parse_bracket, render_bracket, render_symbolic,
                               smooth_components, verify_bracket_axioms)
+from vknotoid.biquandle import FiniteBiquandle
 from vknotoid.coloring import enumerate_colorings
 from vknotoid.diagram import parse_diagram
 from vknotoid.ring import poly_render
@@ -52,6 +56,44 @@ def test_mutated_z5_bracket_fails(z5_bracket, z3_involution):
     assert not report.passed
     families = {a for a, _ in report.violations}
     assert "1" in families and "3" in families
+
+
+def single_entry_mutations(br, count, seed=0):
+    """Brackets differing from ``br`` in one coefficient entry each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        letter = rng.choice("ABVCDU")
+        i, j = rng.randrange(3), rng.randrange(3)
+        rows = [list(r) for r in br.table(letter)]
+        rows[i][j] = rng.randrange(5)
+        yield dataclasses.replace(br, **{letter: tuple(map(tuple, rows))})
+
+
+def frozen_reports(base):
+    return [verify_bracket_axioms(b).violations
+            for b in (base, *single_entry_mutations(base, 200))]
+
+
+def test_violations_are_frozen(z5_bracket, z37_bracket):
+    # every violation tuple (family, witness) the verifier reports, in report
+    # order, pinned by count and digest
+    reports = [verify_bracket_axioms(z37_bracket).violations]
+    reports += frozen_reports(z5_bracket)
+    assert len(reports[0]) == 28
+    assert sum(map(len, reports)) == 1719
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() \
+        == "37e9b2f68158f92843f00d50dfa2cff8909e9c4f27189294a7ad93a0fa2b7b20"
+    # the bundled brackets sit on tables whose two operations agree and read
+    # only their first argument, so they cannot pin which operation and which
+    # arguments each slot of (9)-(23) reads; two unequal tables that read both
+    # arguments asymmetrically can (they need not form a biquandle)
+    generic = FiniteBiquandle(
+        tuple(tuple((a + 2 * b) % 3 for b in range(3)) for a in range(3)),
+        tuple(tuple((2 * a + b + 1) % 3 for b in range(3)) for a in range(3)))
+    reports = frozen_reports(dataclasses.replace(z5_bracket, biquandle=generic))
+    assert sum(map(len, reports)) == 18929
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() \
+        == "f03b0c76cd1923b552bbe9c348b09236a382dc3970708f8dda9bb7f56a5c4b50"
 
 
 def test_bracket_file_round_trip(z5_bracket, z3_involution):
@@ -168,8 +210,13 @@ def test_worked_value_of_2_1_1(corpus, z5_bracket):
 
 
 def test_coloring_mismatch_rejected(corpus, z5_bracket):
-    with pytest.raises(ColoringMismatch):
-        evaluate(corpus["2.1.1"], (0, 0, 0, 0, 0), z5_bracket)
+    for coloring in [(0, 0, 0, 0, 0),         # violates a crossing relation
+                     (0, 2, 0, 2, 0, 1),      # one color too many
+                     (-3, 2, 0, 2, 0),        # a negative color
+                     (0, 0, 0),               # too few colors
+                     (7, 0, 0, 0, 0)]:        # a color outside the biquandle
+        with pytest.raises(ColoringMismatch):
+            evaluate(corpus["2.1.1"], coloring, z5_bracket)
 
 
 def test_multiset_of_2_1_1(corpus, z3_involution, z5_bracket):

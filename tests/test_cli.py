@@ -254,3 +254,13 @@ def test_invariants_of_a_deep_code(tmp_path, capsys):
     deep.write_text("name kinks\ncode %s\n" % kinks)
     assert run(["invariants", deep, "--biquandle", BIQ / "z3_involution.biq"]) == 0
     assert "colorings: 3" in capsys.readouterr().out
+
+
+def test_search_checks_the_biquandle(tmp_path, capsys):
+    bad = tmp_path / "bad.biq"
+    bad.write_text(NOT_A_BIQUANDLE)
+    assert run(["search", "--biquandle", bad, "--modulus", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""                         # no "solutions" printed
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: biquandle fails axioms")

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from vknotoid.ring import (BracketPolynomial, Modulus, ModulusMismatch,
-                           NotAUnit, inverse, inverse_mod, poly_add,
+                           NotAUnit, inverse, poly_add,
                            poly_parse, poly_render)
 
 
@@ -15,11 +15,11 @@ def brute_inverse(a, m):
 
 
 def test_inverse_examples():
-    assert inverse_mod(4, 5) == 4
-    assert inverse_mod(9, 37) == 33
+    assert inverse(Modulus(5).element(4)).value == 4
+    assert inverse(Modulus(37).element(9)).value == 33
     assert 9 * 33 % 37 == 1
     for m in (2, 3, 5, 37):
-        assert inverse_mod(1, m) == 1
+        assert inverse(Modulus(m).element(1)).value == 1
 
 
 def test_inverse_matches_brute_force():
