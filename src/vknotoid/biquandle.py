@@ -60,6 +60,7 @@ class FiniteBiquandle:
     over_table: Table
     _beta_inv: Table = field(repr=False, compare=False, default=())
     _alpha_inv: Table = field(repr=False, compare=False, default=())
+    _solvers: tuple = field(repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         n = len(self.under_table)
@@ -79,6 +80,34 @@ class FiniteBiquandle:
                 alpha[self.over_table[x][y]][y] = x
         object.__setattr__(self, "_beta_inv", tuple(tuple(r) for r in beta))
         object.__setattr__(self, "_alpha_inv", tuple(tuple(r) for r in alpha))
+        object.__setattr__(self, "_solvers", self._solve_tables())
+
+    def _solve_tables(self) -> tuple:
+        """The four solvers of the sideways relation S(a, b) = (c, d), i.e.
+        c = b over a and d = a under b, as n x n tables of pairs: S from
+        (a, b) to (c, d), S^-1 from (c, d) to (a, b), the over-column inverse
+        from (a, c) to (b, d) and the under-column inverse from (b, d) to
+        (a, c).  A table that is not a function is None."""
+        rn = range(self.n)
+        under, over = self.under_table, self.over_table
+        alpha, beta = self._alpha_inv, self._beta_inv
+        fwd = tuple(tuple((over[b][a], under[a][b]) for b in rn) for a in rn)
+        back: list[list] = [[None] * self.n for _ in rn]
+        for a in rn:
+            for b in rn:
+                c, d = fwd[a][b]
+                back[c][d] = (a, b)
+        # n^2 pairs onto n^2 cells: S is a bijection iff no cell stays empty,
+        # and a column map iff its inverse has no -1
+        return (fwd,
+                None if any(None in row for row in back)
+                else tuple(tuple(row) for row in back),
+                None if any(-1 in row for row in alpha)
+                else tuple(tuple((alpha[c][a], under[a][alpha[c][a]])
+                                 for c in rn) for a in rn),
+                None if any(-1 in row for row in beta)
+                else tuple(tuple((beta[d][b], over[b][beta[d][b]])
+                                 for d in rn) for b in rn))
 
     @property
     def n(self) -> int:
@@ -106,6 +135,15 @@ class FiniteBiquandle:
     def sideways(self, x: int, y: int) -> tuple[int, int]:
         """S(x, y) = (y over x, x under y)."""
         return (self.over_op(y, x), self.under_op(x, y))
+
+    def solvers(self) -> tuple:
+        """The four solve tables of the sideways relation (see
+        :meth:`_solve_tables`), each indexed [first][second] of its known
+        pair; NotABiquandle if one of them is not a function."""
+        if None in self._solvers:
+            raise NotABiquandle("a column map or the sideways map is not a "
+                                "bijection")
+        return self._solvers
 
 
 def parse_operation_matrix(text: str) -> FiniteBiquandle:
@@ -222,9 +260,8 @@ def verify_biquandle_axioms(x: FiniteBiquandle, first_only: bool = False) -> Axi
 
 def sideways_inverse(a: int, b: int, x: FiniteBiquandle) -> tuple[int, int]:
     """The unique (p, q) with S(p, q) = (a, b), i.e. q over p = a and
-    p under q = b."""
-    for q in range(x.n):
-        p = x.under_inv(b, q)
-        if x.over_op(q, p) == a:
-            return (p, q)
-    raise NotABiquandle("sideways map is not surjective at (%d, %d)" % (a, b))
+    p under q = b; NotABiquandle if S is not a bijection."""
+    back = x._solvers[1]
+    if back is None:
+        raise NotABiquandle("the sideways map is not a bijection")
+    return back[a][b]

@@ -1,16 +1,24 @@
 """Biquandle colorings of knotoid diagrams.
 
 A coloring assigns a biquandle element to every semi-arc so that each
-classical crossing's two relations hold.  Enumeration walks the classical
-passes in traversal order: the color of the segment after a pass is free
-until the crossing's partner pass has been seen, at which point the crossing
-forces (and checks) the remaining out-color.  This keeps the branch factor
-at one free choice per crossing plus the tail color, and covers non-affine
-biquandles the same way as affine ones.
+classical crossing's two relations hold.  Read together, the two relations
+of a crossing are one sideways relation S(a, b) = (c, d) on four semi-arcs
+(:meth:`~vknotoid.diagram.Crossing.relations`: a under b = d and
+b over a = c), and any of the pairs {a, b}, {c, d}, {a, c}, {b, d} fixes the
+other two colors through one of the biquandle's solve tables
+(:meth:`~vknotoid.biquandle.FiniteBiquandle.solvers`).
 
-The walk keeps its pending choices on an explicit stack, so the depth of a
-diagram is bounded by memory, not by the interpreter's recursion limit, and
-it yields colorings in lexicographic order one at a time.
+So enumeration is compiled, once per call and in O(c), into a plan: branch
+on the tail color, derive every crossing whose determining pair is known
+(a derived color that is already known becomes a check), and when nothing
+more follows, branch on the semi-arc that completes a determining pair of
+the first unfinished crossing in order of first pass.  The plan branches
+only where no crossing forces a color, so its cost grows with the number
+of such branch points, not with the frontier width of the traversal.
+
+The plan runs on an explicit stack, so the depth of a diagram is bounded by
+memory, not by the interpreter's recursion limit.  Colorings are yielded one
+at a time in no specified order.
 """
 
 from __future__ import annotations
@@ -23,77 +31,103 @@ from .diagram import KnotoidDiagram
 Coloring = tuple[int, ...]
 
 
-def _forced_outputs(x: FiniteBiquandle, sign: int, u_in: int,
-                    o_in: int) -> tuple[int, int]:
-    """(u_out, o_out) forced from the in-colors by the two relations of
-    :meth:`~vknotoid.diagram.Crossing.relations`, solved for the out-colors."""
-    if sign > 0:
-        o_out = x.over_inv(o_in, u_in)       # o_in = o_out over u_in
-        u_out = x.under_op(u_in, o_out)
-    else:
-        u_out = x.under_inv(u_in, o_in)      # u_in = u_out under o_in
-        o_out = x.over_op(o_in, u_out)
-    return u_out, o_out
+def _solve_plan(diagram: KnotoidDiagram, x: FiniteBiquandle) -> list:
+    """Plan steps in run order.  A branch step is the list of its stack
+    entries (index of the next step, semi-arc, color); a derive step is
+    (table, s0, s1, t0, t1, check0, check1): table[colors[s0]][colors[s1]]
+    gives the colors of t0 and t1, each checked if already known, else
+    assigned."""
+    nseg = diagram.semi_arc_count
+    tables = x.solvers() if nseg > 1 else ()
+    # per crossing in order of first pass: its solvers as (table index,
+    # known pair, derived pair), from S(a, b) = (c, d)
+    solves = []
+    for cr in sorted(diagram.crossings().values(),
+                     key=lambda cr: min(cr.under_pass, cr.over_pass)):
+        (_, a, b, d), (_, _, _, c) = cr.relations()
+        solves.append(((0, a, b, c, d), (1, c, d, a, b),
+                       (2, a, c, b, d), (3, b, d, a, c)))
+    touching: list[list[int]] = [[] for _ in range(nseg)]
+    for i, sol in enumerate(solves):
+        for k in sol[0][1:]:
+            touching[k].append(i)
+    known = [False] * nseg
+    done = [False] * len(solves)
+    steps: list = []
 
+    def branch(k: int) -> None:
+        steps.append([(len(steps) + 1, k, v) for v in range(x.n - 1, -1, -1)])
+        known[k] = True
+        queue = [k]
+        while queue:
+            for i in touching[queue.pop()]:
+                if done[i]:
+                    continue
+                for t, s0, s1, t0, t1 in solves[i]:
+                    if known[s0] and known[s1]:
+                        # at a kink two of the four semi-arcs coincide
+                        steps.append((tables[t], s0, s1, t0, t1, known[t0],
+                                      known[t1] or t1 == t0))
+                        done[i] = True
+                        for u in (t0, t1):
+                            if not known[u]:
+                                known[u] = True
+                                queue.append(u)
+                        break
 
-def _step_table(x: FiniteBiquandle, sign: int,
-                under: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For the later pass of a crossing, per (u_in, o_in) colors: the
-    out-color the crossing forces on the earlier pass, then its own."""
-    rows = []
-    for a in range(x.n):
-        row = []
-        for b in range(x.n):
-            u_out, o_out = _forced_outputs(x, sign, a, b)
-            row.append((o_out, u_out) if under else (u_out, o_out))
-        rows.append(tuple(row))
-    return tuple(rows)
+    branch(0)
+    for i, sol in enumerate(solves):
+        while not done[i]:
+            # the first unfinished crossing always has a known semi-arc: the
+            # one entering its first pass leaves a finished crossing or is
+            # the tail
+            branch(next(s1 if known[s0] else s0
+                        for _, s0, s1, _, _ in sol
+                        if known[s0] != known[s1]))
+    return steps
 
 
 def iter_colorings(diagram: KnotoidDiagram,
                    x: FiniteBiquandle) -> Iterator[Coloring]:
-    """All colorings in lexicographic order, as tuples of 0-based element
-    indices per semi-arc.  Raises NotABiquandle if a column map that the
-    crossings need is not a bijection."""
-    # per semi-arc k >= 1, led into by pass k-1: if the partner pass comes
-    # later, the color is free and the walk pushes its other choices; else
-    # the crossing forces it from the colors of earlier semi-arcs
-    nseg = diagram.semi_arc_count
-    steps: list = [[(k, v) for v in range(x.n - 1, 0, -1)] for k in range(nseg)]
-    tables: dict[tuple[int, bool], tuple] = {}
-    for c in diagram.crossings().values():
-        late = max(c.under_pass, c.over_pass)
-        key = (c.sign, late == c.under_pass)
-        if key not in tables:
-            tables[key] = _step_table(x, *key)
-        steps[late + 1] = (tables[key], c.u_in, c.o_in,
-                           min(c.under_pass, c.over_pass) + 1)
-    colors = [0] * nseg
-    stack = steps[0] + [(0, 0)]
+    """All colorings, in no specified order, as tuples of 0-based element
+    indices per semi-arc.  Raises NotABiquandle before the first coloring if
+    the diagram has a classical crossing and a solve table of ``x`` is not
+    a function."""
+    steps = _solve_plan(diagram, x)
+    last = len(steps)
+    colors = [0] * diagram.semi_arc_count
+    stack = list(steps[0])
     while stack:
-        seg, v = stack.pop()
+        i, k, v = stack.pop()
+        colors[k] = v
         while True:
-            colors[seg] = v
-            seg += 1
-            if seg == nseg:
+            if i == last:
                 yield tuple(colors)
                 break
-            step = steps[seg]
+            step = steps[i]
+            i += 1
             if step.__class__ is list:
                 stack += step
-                v = 0
-                continue
-            table, u_in, o_in, partner_out = step
-            check, v = table[colors[u_in]][colors[o_in]]
-            if colors[partner_out] != check:
                 break
+            table, s0, s1, t0, t1, check0, check1 = step
+            v0, v1 = table[colors[s0]][colors[s1]]
+            if check0:
+                if colors[t0] != v0:
+                    break
+            else:
+                colors[t0] = v0
+            if check1:
+                if colors[t1] != v1:
+                    break
+            else:
+                colors[t1] = v1
 
 
 def enumerate_colorings(diagram: KnotoidDiagram,
                         x: FiniteBiquandle) -> list[Coloring]:
     """All colorings, as tuples of 0-based element indices per semi-arc, in
     lexicographic order."""
-    return list(iter_colorings(diagram, x))
+    return sorted(iter_colorings(diagram, x))
 
 
 def counting_invariant(diagram: KnotoidDiagram, x: FiniteBiquandle) -> int:

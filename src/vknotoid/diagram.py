@@ -17,8 +17,8 @@ suite pins them):
 * negative crossing:  u_in  = u_out under o_in,   o_out = o_in over u_out
 
 so the operation argument pair of a positive crossing is (u_in, o_out) and
-of a negative crossing (u_out, o_in).  Forward color propagation resolves
-the out-labels through the inverse column maps.
+of a negative crossing (u_out, o_in).  Coloring enumeration reads the two
+relations together as one sideways relation (see :mod:`vknotoid.coloring`).
 """
 
 from __future__ import annotations

@@ -116,14 +116,12 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     nodes = 0
     exhausted = False
 
-    def diag_candidates(delta: int, omega: int | None) -> list[tuple]:
+    def diag_candidates(delta: int) -> list[tuple]:
         """Diagonal (a, b, v) triples compatible with (1)-(2), plus derived
-        (c, d, u); when omega is fixed only matching triples survive."""
+        (c, d, u) and omega."""
         out = []
         for a, b, v in itertools.product(values, repeat=3):
             w = (delta * a + b + v) % p
-            if omega is not None and w != omega:
-                continue
             if math.gcd(w, p) != 1:
                 continue
             cdu = solve_pair(a, b, v, delta, p)
@@ -154,6 +152,11 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         # overwritten before any check reads them
         tabs: dict[tuple[int, int], tuple] = {}
         off_cands = off_candidates(delta)
+        # the first diagonal slot fixes omega; later ones keep only the
+        # candidates with that omega, in the same order
+        diag_cands: dict[int | None, list[tuple]] = {None: diag_candidates(delta)}
+        for cand in diag_cands[None]:
+            diag_cands.setdefault(cand[6], []).append(cand)
 
         def place(slot_idx: int, omega: int | None) -> bool:
             """Returns False when the budget ran out."""
@@ -168,7 +171,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                 return True
             slot = slot_order[slot_idx]
             if slot_idx < n:
-                cands = diag_candidates(delta, omega)
+                cands = diag_cands[omega]
             else:
                 cands = off_cands
             for cand in cands:

@@ -1,7 +1,11 @@
 import itertools
 
+import pytest
+
+from vknotoid.biquandle import NotABiquandle, parse_operation_matrix
 from vknotoid.coloring import (counting_invariant, counting_matrix,
-                               enumerate_colorings, matrix_product)
+                               enumerate_colorings, iter_colorings,
+                               matrix_product)
 from vknotoid.diagram import crossing_relations, parse_diagram, relation_holds
 
 
@@ -85,3 +89,16 @@ def test_matrix_product_helper():
     a = [[1, 2], [0, 1]]
     b = [[3, 0], [1, 1]]
     assert matrix_product(a, b) == [[5, 2], [1, 1]]
+
+
+def test_non_biquandle_raises_before_any_coloring():
+    # the under-column of x_1 is (1, 2, 1): not a bijection
+    x = parse_operation_matrix("3\n1 2 1 3 3 3\n2 1 3 1 1 1\n1 3 2 2 2 2\n")
+    for code in ("O+1,U+1", "O-1,U-1", "U+1,V1,O+1,V1"):
+        d = parse_diagram(code)
+        with pytest.raises(NotABiquandle):
+            next(iter_colorings(d, x))
+        with pytest.raises(NotABiquandle):
+            counting_matrix(d, x)
+    # no crossing, no relation to solve: every tail color is a coloring
+    assert enumerate_colorings(parse_diagram(""), x) == [(0,), (1,), (2,)]

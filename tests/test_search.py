@@ -73,6 +73,16 @@ def test_search_is_deterministic(z3_involution):
     assert r1.nodes == r2.nodes
 
 
+def test_search_node_counts_are_frozen(z3_involution):
+    # a diagonal slot after the first may only take candidates with the
+    # omega the first one fixed; offering more finds the same brackets
+    # (the final axiom check drops the rest) in more nodes
+    for cfg, want in ((SearchConfig(3, "diagonal", seed=42), (288, 1466)),
+                      (SearchConfig(3, "full", seed=2), (480, 6618))):
+        result = search_brackets(z3_involution, cfg)
+        assert (len(result.brackets), result.nodes) == want
+
+
 def test_budget_exhaustion_flag(z3_involution):
     result = search_brackets(z3_involution,
                              SearchConfig(modulus=5, budget=20))

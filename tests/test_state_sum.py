@@ -1,16 +1,21 @@
 """Bit-for-bit oracles for the compiled state sum on seeded random codes:
 the component table against per-state union-find, every coloring's value
-against the symbolic state sum, and the coloring walk against brute force."""
+against the symbolic state sum, and the coloring plan against brute force,
+against the traversal walk it replaced, and on wide codes against linear
+algebra over Z_5."""
 
 import itertools
 import random
 
 import pytest
 
+from vknotoid.biquandle import (FiniteBiquandle, alexander_biquandle,
+                                verify_biquandle_axioms)
 from vknotoid.bracket import (SMOOTHINGS, bracket_matrix, evaluate,
                               evaluate_symbolic, fundamental_bracket,
                               invariants, smooth_components, state_components)
-from vknotoid.coloring import counting_matrix, enumerate_colorings
+from vknotoid.coloring import (counting_matrix, enumerate_colorings,
+                               iter_colorings)
 from vknotoid.diagram import KnotoidDiagram, Pass, crossing_relations, relation_holds
 
 
@@ -28,6 +33,28 @@ def random_code(rng, classical, virtual=2):
 def random_codes(seed, sizes):
     rng = random.Random(seed)
     return [random_code(rng, c) for c in sizes]
+
+
+def frontier_width(d):
+    """The most classical crossings met once and not yet twice along the
+    code; the walk below branches about n^width times."""
+    met, width = set(), 0
+    for p in d.passes:
+        if p.kind != "V":
+            met ^= {p.crossing}
+            width = max(width, len(met))
+    return width
+
+
+def _dihedral():
+    # trivial x -> x and R3 (x, y) -> 2y - x mod 3, in both placements: the
+    # only tables here whose over operation reads its second argument
+    triv = tuple(tuple(a for _ in range(3)) for a in range(3))
+    r3 = tuple(tuple((2 * b - a) % 3 for b in range(3)) for a in range(3))
+    return (FiniteBiquandle(triv, r3), FiniteBiquandle(r3, triv))
+
+
+DIHEDRAL = _dihedral()
 
 
 def test_state_components_match_union_find_per_state():
@@ -65,7 +92,7 @@ def test_colorings_are_the_sorted_brute_force_list(z3_coloring, z3_involution,
                                                    z5_alexander):
     # brute force tries n^(2c+1) assignments, so the codes stay small
     for d in random_codes(3, (0, 1, 2, 3, 4) * 3):
-        for x in (z3_coloring, z3_involution):
+        for x in (z3_coloring, z3_involution) + DIHEDRAL:
             assert enumerate_colorings(d, x) == brute_force_colorings(d, x)
     for d in random_codes(4, (1, 2, 2)):
         assert enumerate_colorings(d, z5_alexander) \
@@ -80,3 +107,132 @@ def test_one_pass_agrees_with_the_wrappers(z3_involution, z5_bracket):
         assert inv.bracket_polynomial.total_multiplicity() == inv.counting_invariant
         assert invariants(d, z3_involution).bracket_matrix is None
 
+
+
+def test_dihedral_tables_are_biquandles():
+    for x in DIHEDRAL:
+        assert verify_biquandle_axioms(x).passed
+
+
+def _forced_outputs(x, sign, u_in, o_in):
+    if sign > 0:
+        o_out = x.over_inv(o_in, u_in)       # o_in = o_out over u_in
+        u_out = x.under_op(u_in, o_out)
+    else:
+        u_out = x.under_inv(u_in, o_in)      # u_in = u_out under o_in
+        o_out = x.over_op(o_in, u_out)
+    return u_out, o_out
+
+
+def _step_table(x, sign, under):
+    rows = []
+    for a in range(x.n):
+        row = []
+        for b in range(x.n):
+            u_out, o_out = _forced_outputs(x, sign, a, b)
+            row.append((o_out, u_out) if under else (u_out, o_out))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def walk_colorings(diagram, x):
+    """The traversal walk the solve plan replaced, kept as an oracle: the
+    color after a crossing's first pass is free, and the crossing's later
+    pass forces its own out-color and checks the free one.  Lexicographic
+    order; about n^(frontier width) branches."""
+    nseg = diagram.semi_arc_count
+    steps = [[(k, v) for v in range(x.n - 1, 0, -1)] for k in range(nseg)]
+    tables = {}
+    for c in diagram.crossings().values():
+        late = max(c.under_pass, c.over_pass)
+        key = (c.sign, late == c.under_pass)
+        if key not in tables:
+            tables[key] = _step_table(x, *key)
+        steps[late + 1] = (tables[key], c.u_in, c.o_in,
+                           min(c.under_pass, c.over_pass) + 1)
+    colors = [0] * nseg
+    stack = steps[0] + [(0, 0)]
+    while stack:
+        seg, v = stack.pop()
+        while True:
+            colors[seg] = v
+            seg += 1
+            if seg == nseg:
+                yield tuple(colors)
+                break
+            step = steps[seg]
+            if step.__class__ is list:
+                stack += step
+                v = 0
+                continue
+            table, u_in, o_in, partner_out = step
+            check, v = table[colors[u_in]][colors[o_in]]
+            if colors[partner_out] != check:
+                break
+
+
+def test_colorings_match_the_traversal_walk(z3_coloring, z3_involution,
+                                            z3_shift, z5_alexander):
+    rng = random.Random(6)
+    codes = [random_code(rng, c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8) * 2]
+    # the widest codes: every crossing met once before any is met twice
+    for c in (6, 7, 8):
+        codes.append(next(d for d in iter(lambda: random_code(rng, c), None)
+                          if frontier_width(d) == c))
+    for d in codes:
+        for x in (z3_coloring, z3_involution, z3_shift) + DIHEDRAL:
+            assert enumerate_colorings(d, x) == sorted(walk_colorings(d, x))
+        if frontier_width(d) <= 6:
+            # the walk costs about 5^width over five elements
+            assert enumerate_colorings(d, z5_alexander) \
+                == sorted(walk_colorings(d, z5_alexander))
+
+
+def nullity_mod_p(rows, ncols, p):
+    """ncols minus the rank of the integer matrix ``rows`` over Z_p."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return ncols - rank
+
+
+def test_wide_codes_against_linear_algebra():
+    # x under y = 2x + y and x over y = 3x over Z_5: every relation is a
+    # homogeneous linear equation in the residues of the semi-arc colors,
+    # so the colorings are the kernel of the relation matrix mod 5
+    x = alexander_biquandle(5, 2, 3)
+    assert verify_biquandle_axioms(x).passed
+    rng = random.Random(8)
+    codes = []
+    for c in (12, 13, 14):
+        while len(codes) < 10 * (c - 11):
+            d = random_code(rng, c)
+            if frontier_width(d) >= 9:
+                codes.append(d)
+    for d in codes:
+        rels = crossing_relations(d).relations
+        rows = []
+        for r in rels:
+            row = [0] * d.semi_arc_count
+            if r.op == "under":
+                row[r.x - 1] += 2
+                row[r.y - 1] += 1
+            else:
+                row[r.x - 1] += 3
+            row[r.result - 1] -= 1
+            rows.append(row)
+        got = list(iter_colorings(d, x))
+        assert len(got) == 5 ** nullity_mod_p(rows, d.semi_arc_count, 5)
+        assert len(set(got)) == len(got)
+        assert all(relation_holds(r, f, x) for f in got for r in rels)
