@@ -18,7 +18,7 @@ from .coloring import (enumerate_colorings, iter_colorings,
                        counting_invariant, counting_matrix, matrix_product)
 from .bracket import (VirtualBracket, SymbolicBracket, SymbolicTerm, State,
                       parse_bracket, render_bracket, verify_bracket_axioms,
-                      smooth_components, enumerate_states, state_components,
+                      smooth_components, enumerate_states,
                       evaluate, Invariants, invariants, bracket_multiset,
                       bracket_polynomial, bracket_matrix,
                       fundamental_bracket, render_symbolic, evaluate_symbolic,

@@ -24,15 +24,19 @@ pair families from the two R2 variants).  Each family is written once:
 placement of (9)-(23) forced by invariance, and :func:`triple_residuals`
 their terms; the verifier and the search both read these.
 
-Evaluation is compiled once per diagram into a state plan: the writhe, each
-crossing's sign and argument pair, and a byte table of the component counts
-of all 3^c states (see :func:`state_components`).  Per coloring, the state
-sum then reads three coefficients per crossing and expands the products of
-all states level by level, about 1.5 * 3^c multiplications.
-:func:`invariants` enumerates the colorings once and fills the counting and
-bracket matrices together.  The per-state path (:func:`enumerate_states`,
-:func:`fundamental_bracket`, :func:`evaluate_symbolic`) remains as the
-symbolic form and as the reference the tests compare against.
+Evaluation is compiled once per diagram into a frontier sweep (see
+:func:`_plan`): the crossings are swept one at a time, and a state records
+only how the boundary semi-arcs, those with one end swept and one not, are
+joined in pairs by the smoothings so far.  Each smoothing of the next
+crossing maps a state to one successor and closes at most two loops.  Per
+coloring, the sum over partial states is carried from level to level with
+the weights coefficient * delta^loops, so the cost grows with the number of
+states, which is set by the boundary width, not with 3^c; no step divides by
+delta.  :func:`invariants` enumerates the colorings once and fills the
+counting and bracket matrices together.  The per-state path
+(:func:`enumerate_states`, :func:`fundamental_bracket`,
+:func:`evaluate_symbolic`) remains as the symbolic form and as the reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -40,14 +44,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
+from functools import cache, reduce
 from typing import NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
 from .coloring import counting_matrix, iter_colorings
-from .diagram import (KnotoidDiagram, crossing_relations, relation_holds,
-                      writhe)
+from .diagram import (Crossing, KnotoidDiagram, crossing_relations,
+                      relation_holds, writhe)
 from .ring import BracketPolynomial, Modulus, RingElement, NotAUnit, poly_add
 
 Table = tuple[tuple[int, ...], ...]
@@ -316,79 +319,133 @@ def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
 
 # -- evaluation ----------------------------------------------------------------
 
-def state_components(diagram: KnotoidDiagram) -> bytes:
-    """Component count of every state, in :func:`enumerate_states` order.
-
-    Union-find over the 2c+1 semi-arcs: semi-arc k is both the out-port of
-    pass k-1 and the in-port of pass k, so each smoothing joins two pairs of
-    semi-arcs.  The walk descends through the crossings in ascending id,
-    copies the parent list at each level and subtracts the successful unions
-    from the component count; the last level only counts.
-    """
-    crossings = diagram.crossings()
-    joins = []
-    for cid in sorted(crossings):
-        cr = crossings[cid]
-        joins.append((((cr.u_in, cr.o_out), (cr.o_in, cr.u_out)),    # vertical
-                      ((cr.u_in, cr.o_in), (cr.u_out, cr.o_out)),    # horizontal
-                      ((cr.u_in, cr.u_out), (cr.o_in, cr.o_out))))   # virtual
-    if not joins:
-        return bytes([1])
-    out = bytearray()
-    last = len(joins) - 1
-
-    def walk(level: int, parent: list[int], comps: int) -> None:
-        for (a, b), (c, d) in joins[level]:
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            while parent[c] != c:
-                c = parent[c]
-            while parent[d] != d:
-                d = parent[d]
-            k = comps
-            if a != b:           # join root a under b
-                k -= 1
-                if c == a:
-                    c = b
-                if d == a:
-                    d = b
-            if c != d:
-                k -= 1
-            if level == last:
-                out.append(k)
-            else:
-                p = parent[:]
-                p[a] = b
-                p[c] = d
-                walk(level + 1, p, k)
-
-    walk(0, list(range(diagram.semi_arc_count)), diagram.semi_arc_count)
-    return bytes(out)
-
-
 class _StatePlan(NamedTuple):
-    """Per-diagram cache: the writhe, per classical crossing in ascending id
-    its sign and coefficient argument pair, and the state_components table."""
+    """Per-diagram cache: the writhe and one level per classical crossing in
+    sweep order.  A level is the crossing's sign, its coefficient argument
+    pair, and for each state after the crossing its incoming edges
+    (source state, smoothing + 3 * closed loops)."""
     writhe: int
-    crossings: tuple[tuple[int, tuple[int, int]], ...]
-    components: bytes
+    levels: tuple[tuple[int, tuple[int, int],
+                        tuple[tuple[tuple[int, int], ...], ...]], ...]
 
 
 _PLANS: dict[tuple, _StatePlan] = {}
 
+# A crossing's four ports as slots 0 u_in, 1 u_out, 2 o_in, 3 o_out, and the
+# slot each smoothing joins to each slot, in SMOOTHINGS order.
+_JOIN = ((3, 2, 1, 0), (2, 3, 0, 1), (1, 0, 3, 2))
+
+
+@cache
+def _smooth(outside: tuple[int, ...]) -> tuple[tuple[int, tuple], ...]:
+    """Per smoothing, the closed loops it makes and the pairs of slots whose
+    boundary ends it connects.  ``outside[e]`` is the slot that slot e already
+    reaches away from the crossing, or -1 when it reaches the boundary."""
+    out = []
+    for join in _JOIN:
+        seen: set[int] = set()
+        pairs = []
+        for e in range(4):
+            if outside[e] < 0 and e not in seen:
+                f = e
+                while True:
+                    seen.add(f)
+                    f = join[f]
+                    seen.add(f)
+                    if outside[f] < 0:
+                        break
+                    f = outside[f]
+                pairs.append((e, f))
+        loops = 0
+        for e in range(4):
+            if e not in seen:
+                loops += 1
+                while e not in seen:
+                    seen.add(e)
+                    seen.add(join[e])
+                    e = outside[join[e]]
+        out.append((loops, tuple(pairs)))
+    return tuple(out)
+
+
+def _width_after(cr: Crossing, unswept: list[int], width: int) -> int:
+    """Boundary size after sweeping ``cr``: a semi-arc is on the boundary
+    while exactly one of its two ends is unswept."""
+    ports = (cr.u_in, cr.u_out, cr.o_in, cr.o_out)
+    for a in set(ports):
+        width += (unswept[a] > ports.count(a)) - (unswept[a] == 1)
+    return width
+
 
 def _plan(diagram: KnotoidDiagram) -> _StatePlan:
+    """Compile the frontier sweep of one diagram.
+
+    A semi-arc is on the boundary while one of its two ends is swept and the
+    other is not; the tail and head semi-arcs each have a free end that no
+    crossing sweeps, so they stay on the boundary once touched.  Every piece
+    of curve smoothed so far is a closed loop or a path between two boundary
+    semi-arcs, so a state is a perfect matching of the boundary, stored as
+    the partner position of each boundary semi-arc.  The next crossing is
+    the one leaving the smallest boundary, ties to the earlier second pass.
+    Each smoothing joins its four ports in two pairs; a piece that closes up
+    is a loop (at most two per crossing).  After the last crossing the only
+    state is the open component, the tail matched to the head.
+    """
     key = diagram.passes
     plan = _PLANS.get(key)
     if plan is not None:
         return plan
-    crossings = diagram.crossings()
-    plan = _StatePlan(writhe(diagram),
-                      tuple((crossings[cid].sign, crossings[cid].pair())
-                            for cid in sorted(crossings)),
-                      state_components(diagram))
+    todo = list(diagram.crossings().values())
+    unswept = [2] * diagram.semi_arc_count
+    boundary: list[int] = []
+    states: dict[tuple[int, ...], int] = {(): 0}
+    levels = []
+    while todo:
+        cr = min(todo, key=lambda cr: (_width_after(cr, unswept, len(boundary)),
+                                       max(cr.under_pass, cr.over_pass)))
+        todo.remove(cr)
+        ports = (cr.u_in, cr.u_out, cr.o_in, cr.o_out)
+        for a in ports:
+            unswept[a] -= 1
+        # the boundary after the crossing: the kept old semi-arcs in their
+        # order, then the crossing's fresh ones that keep an unswept end
+        old = {a: i for i, a in enumerate(boundary)}
+        kept = [i for i, a in enumerate(boundary) if unswept[a]]
+        after = [boundary[i] for i in kept] + [
+            a for a in dict.fromkeys(ports) if a not in old and unswept[a]]
+        at = {a: k for k, a in enumerate(after)}
+        remap = [at.get(a) for a in boundary]
+        # what each slot reaches whatever the state: a fresh semi-arc the
+        # boundary through itself (its position in ends), a kink the other
+        # slot; the slots of old semi-arcs are filled in per state
+        fixed = [next((f for f, b in enumerate(ports) if b == a and f != e), -1)
+                 for e, a in enumerate(ports)]
+        ends = [at.get(a) for a in ports]
+        slot = {old[a]: e for e, a in enumerate(ports) if a in old}
+        nfresh = len(after) - len(kept)
+        successors: dict[tuple[int, ...], int] = {}
+        incoming: list[list[tuple[int, int]]] = []
+        for state, s in states.items():
+            outside, end = fixed[:], ends[:]
+            for i, e in slot.items():
+                f = slot.get(state[i], -1)
+                outside[e] = f
+                if f < 0:
+                    end[e] = remap[state[i]]
+            base = [remap[state[i]] for i in kept] + [0] * nfresh
+            for kind, (loops, pairs) in enumerate(_smooth(tuple(outside))):
+                mate = base[:]
+                for e, f in pairs:
+                    mate[end[e]] = end[f]
+                    mate[end[f]] = end[e]
+                t = successors.setdefault(tuple(mate), len(successors))
+                if t == len(incoming):
+                    incoming.append([])
+                incoming[t].append((s, kind + 3 * loops))
+        boundary, states = after, successors
+        levels.append((cr.sign, cr.pair(), tuple(map(tuple, incoming))))
+    assert len(states) == 1
+    plan = _StatePlan(writhe(diagram), tuple(levels))
     if len(_PLANS) > 64:
         _PLANS.clear()
     _PLANS[key] = plan
@@ -399,28 +456,31 @@ def _evaluator(plan: _StatePlan, br: VirtualBracket):
     """The state sum of one diagram under one bracket, as a function from a
     coloring to its value in range(m).
 
-    Per coloring it reads the three coefficients of each crossing, expands
-    the products of all states level by level in the order of the component
-    table, and weighs each by delta^components * omega^(-writhe), reducing
-    mod m once at the end.
+    Per coloring, each level of the sweep reads the nine weights
+    coefficient * delta^loops at its crossing's argument pair and carries the
+    sum over partial states into every successor state.  The final state is
+    the open component, which contributes one more delta.
     """
-    m = br.modulus.m
+    m, d1 = br.modulus.m, br.delta
+    d2 = d1 * d1 % m
 
-    def triples(t0: Table, t1: Table, t2: Table) -> tuple:
-        return tuple(tuple(zip(*rows)) for rows in zip(t0, t1, t2))
+    def weights(t0: Table, t1: Table, t2: Table) -> list:
+        # weights[a][b][kind + 3 * loops] = coefficient * delta^loops
+        return [[(a, b, v, a * d1, b * d1, v * d1, a * d2, b * d2, v * d2)
+                 for a, b, v in zip(*rows)] for rows in zip(t0, t1, t2)]
 
-    by_sign = {1: triples(br.A, br.B, br.V), -1: triples(br.C, br.D, br.U)}
-    steps = [(by_sign[sign], i, j) for sign, (i, j) in plan.crossings]
-    wfac = pow(br.omega, -plan.writhe, m)
-    scale = [pow(br.delta, k, m) * wfac % m for k in range(max(plan.components) + 1)]
-    weights = [scale[k] for k in plan.components]
+    by_sign = {1: weights(br.A, br.B, br.V), -1: weights(br.C, br.D, br.U)}
+    steps = [(by_sign[sign], i, j, incoming)
+             for sign, (i, j), incoming in plan.levels]
+    scale = d1 * pow(br.omega, -plan.writhe, m) % m
 
     def value(coloring: tuple[int, ...]) -> int:
-        prods = [1]
-        for table, i, j in steps:
-            coeffs = table[coloring[i]][coloring[j]]
-            prods = [p * c for p in prods for c in coeffs]
-        return sum(map(mul, weights, prods)) % m
+        vals = [1]
+        for table, i, j, incoming in steps:
+            w = table[coloring[i]][coloring[j]]
+            vals = [sum([vals[s] * w[x] for s, x in edges]) % m
+                    for edges in incoming]
+        return vals[0] * scale % m
 
     return value
 

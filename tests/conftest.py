@@ -2,6 +2,7 @@ import pytest
 
 from vknotoid.data import (load_biquandle, load_bracket, load_corpus,
                            corpus_names, corpus_manifest)
+from vknotoid.search import SearchConfig, search_brackets
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +33,17 @@ def z5_bracket(z3_involution):
 @pytest.fixture(scope="session")
 def z37_bracket(z3_shift):
     return load_bracket("z37_shift", z3_shift)
+
+
+@pytest.fixture(scope="session")
+def z3_coloring_brackets(z3_coloring):
+    """The 40 valid brackets over Z_3 that the full search finds on
+    z3_coloring, whose under operation reads its second argument; their
+    deltas are 0, 1 and 2."""
+    found = search_brackets(z3_coloring, SearchConfig(3, "full")).brackets
+    assert len(found) == 40
+    assert {br.delta for br in found} == {0, 1, 2}
+    return found
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from vknotoid.coloring import (counting_invariant, counting_matrix,
                                enumerate_colorings, matrix_product)
 from vknotoid.diagram import (crossing_relations, insert_move, product,
                               relation_holds)
-from vknotoid.ring import poly_render
+from vknotoid.ring import BracketPolynomial, poly_render
 from vknotoid.search import SearchConfig, brute_force_singleton, search_brackets
 
 Z5_REFERENCE_MATRIX = """\
@@ -243,6 +243,43 @@ def test_c09b_product_theorem(corpus, z3_coloring):
                              counting_matrix(corpus[b], z3_coloring))
         assert lhs == rhs
     report("C9b product theorem on 20 corpus pairs: PASS")
+
+
+def twisted_product(m1, m2, br):
+    """Sum over the middle index of cellwise products, where
+    u^a (x) u^b = u^(a*b/delta): the bracket matrix of a product diagram."""
+    m = br.modulus.m
+    dinv = pow(br.delta, -1, m)
+    out = []
+    for row in m1:
+        cells = []
+        for j in range(len(m2[0])):
+            cell = {}
+            for p, q in zip(row, (r[j] for r in m2)):
+                for a, s in p.terms:
+                    for b, t in q.terms:
+                        e = a * b * dinv % m
+                        cell[e] = cell.get(e, 0) + s * t
+            cells.append(BracketPolynomial.from_dict(br.modulus, cell))
+        out.append(cells)
+    return out
+
+
+def test_c09b_bracket_product_rule(corpus, z3_involution, z5_bracket):
+    # a product of five corpus diagrams with c = 22, whose 3^c state sum
+    # would expand 3^22 states; the sweep never holds more than three
+    names = ["5.1.1", "4.1.6", "5.1.4", "3.1.6", "5.1.9"]
+    d = corpus[names[0]]
+    want = bracket_matrix(d, z3_involution, z5_bracket)
+    for name in names[1:]:
+        d = product(d, corpus[name])
+        want = twisted_product(
+            want, bracket_matrix(corpus[name], z3_involution, z5_bracket),
+            z5_bracket)
+    assert d.classical_count >= 20
+    assert bracket_matrix(d, z3_involution, z5_bracket) == want
+    report("C9b bracket product rule on a c=%d product of %d diagrams: PASS"
+           % (d.classical_count, len(names)))
 
 
 def test_c09c_entry_sums(corpus, z3_coloring, z3_involution, z3_shift):

@@ -3,7 +3,8 @@ enhancement consistency, and convention self-consistency."""
 
 import random
 
-from vknotoid.bracket import bracket_matrix, bracket_polynomial
+from vknotoid.bracket import (bracket_matrix, bracket_polynomial,
+                              verify_bracket_axioms)
 from vknotoid.coloring import (counting_invariant, counting_matrix,
                                matrix_product)
 from vknotoid.diagram import insert_move, product
@@ -54,6 +55,27 @@ def test_stacked_moves_stay_invariant(corpus, z3_involution, z5_bracket):
             moved = random_insert(moved, rng)
         assert poly_render(bracket_polynomial(moved, z3_involution, z5_bracket)) \
             == base_polys
+
+
+def test_move_invariance_on_z3_coloring_brackets(corpus, z3_coloring,
+                                                 z3_coloring_brackets):
+    # the only valid brackets here on a biquandle whose under operation
+    # reads its second argument; each of the four moves on three diagrams
+    # with 9, 9 and 27 colorings, where the 40 brackets give 9 distinct
+    # matrices each
+    rng = random.Random(13)
+    for br in z3_coloring_brackets:
+        assert verify_bracket_axioms(br).passed
+        for name in ("3.1.6", "4.1.5", "5.1.4"):
+            d = corpus[name]
+            base = rendered_matrix(d, z3_coloring, br)
+            for move in ("R1", "VR1", "R2", "VR2"):
+                gap = rng.randint(0, len(d.passes))
+                moved = insert_move(d, move, gap, rng.randint(0, len(d.passes)),
+                                    sign=rng.choice([1, -1]),
+                                    over_first=rng.choice([True, False]),
+                                    parallel=rng.choice([True, False]))
+                assert rendered_matrix(moved, z3_coloring, br) == base
 
 
 def test_mis_signed_double_insertion_detected(corpus, z3_coloring,

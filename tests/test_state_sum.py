@@ -1,22 +1,25 @@
-"""Bit-for-bit oracles for the compiled state sum on seeded random codes:
-the component table against per-state union-find, every coloring's value
-against the symbolic state sum, and the coloring plan against brute force,
-against the traversal walk it replaced, and on wide codes against linear
-algebra over Z_5."""
+"""Bit-for-bit oracles on seeded random codes: the frontier sweep against
+the 3^c state sum it replaced and against the symbolic state sum, the 3^c
+component table against per-state union-find, and the coloring plan against
+brute force, against the traversal walk it replaced, and on wide codes
+against linear algebra over Z_5."""
 
 import itertools
 import random
+from operator import mul
 
 import pytest
 
 from vknotoid.biquandle import (FiniteBiquandle, alexander_biquandle,
                                 verify_biquandle_axioms)
-from vknotoid.bracket import (SMOOTHINGS, bracket_matrix, evaluate,
-                              evaluate_symbolic, fundamental_bracket,
-                              invariants, smooth_components, state_components)
+from vknotoid.bracket import (SMOOTHINGS, Invariants, bracket_matrix,
+                              evaluate, evaluate_symbolic, fundamental_bracket,
+                              invariants, smooth_components)
 from vknotoid.coloring import (counting_matrix, enumerate_colorings,
                                iter_colorings)
-from vknotoid.diagram import KnotoidDiagram, Pass, crossing_relations, relation_holds
+from vknotoid.diagram import (KnotoidDiagram, Pass, crossing_relations,
+                              insert_move, product, relation_holds, writhe)
+from vknotoid.ring import BracketPolynomial
 
 
 def random_code(rng, classical, virtual=2):
@@ -57,12 +60,152 @@ def _dihedral():
 DIHEDRAL = _dihedral()
 
 
+def state_components(diagram):
+    """Component count of every state, in enumerate_states order.
+
+    Union-find over the 2c+1 semi-arcs: semi-arc k is both the out-port of
+    pass k-1 and the in-port of pass k, so each smoothing joins two pairs of
+    semi-arcs.  The walk descends through the crossings in ascending id,
+    copies the parent list at each level and subtracts the successful unions
+    from the component count; the last level only counts.
+    """
+    crossings = diagram.crossings()
+    joins = []
+    for cid in sorted(crossings):
+        cr = crossings[cid]
+        joins.append((((cr.u_in, cr.o_out), (cr.o_in, cr.u_out)),    # vertical
+                      ((cr.u_in, cr.o_in), (cr.u_out, cr.o_out)),    # horizontal
+                      ((cr.u_in, cr.u_out), (cr.o_in, cr.o_out))))   # virtual
+    if not joins:
+        return bytes([1])
+    out = bytearray()
+    last = len(joins) - 1
+
+    def walk(level, parent, comps):
+        for (a, b), (c, d) in joins[level]:
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            while parent[c] != c:
+                c = parent[c]
+            while parent[d] != d:
+                d = parent[d]
+            k = comps
+            if a != b:           # join root a under b
+                k -= 1
+                if c == a:
+                    c = b
+                if d == a:
+                    d = b
+            if c != d:
+                k -= 1
+            if level == last:
+                out.append(k)
+            else:
+                p = parent[:]
+                p[a] = b
+                p[c] = d
+                walk(level + 1, p, k)
+
+    walk(0, list(range(diagram.semi_arc_count)), diagram.semi_arc_count)
+    return bytes(out)
+
+
+def dense_evaluator(diagram, br):
+    """The 3^c state sum the frontier sweep replaced, kept as an oracle:
+    per coloring it expands the products of all states level by level in
+    the order of the component table and weighs each by
+    delta^components * omega^(-writhe)."""
+    m = br.modulus.m
+    crossings = diagram.crossings()
+    by_sign = {1: (br.A, br.B, br.V), -1: (br.C, br.D, br.U)}
+    steps = [(by_sign[crossings[cid].sign], crossings[cid].pair())
+             for cid in sorted(crossings)]
+    wfac = pow(br.omega, -writhe(diagram), m)
+    weights = [pow(br.delta, k, m) * wfac % m
+               for k in state_components(diagram)]
+
+    def value(coloring):
+        prods = [1]
+        for tables, (i, j) in steps:
+            coeffs = [t[coloring[i]][coloring[j]] for t in tables]
+            prods = [p * c for p in prods for c in coeffs]
+        return sum(map(mul, weights, prods)) % m
+
+    return value
+
+
+def dense_invariants(diagram, x, br):
+    value = dense_evaluator(diagram, br)
+    cells = [[{} for _ in range(x.n)] for _ in range(x.n)]
+    for f in iter_colorings(diagram, x):
+        cell = cells[f[0]][f[-1]]
+        v = value(f)
+        cell[v] = cell.get(v, 0) + 1
+    return Invariants([[sum(c.values()) for c in row] for row in cells],
+                      [[BracketPolynomial.from_dict(br.modulus, c) for c in row]
+                       for row in cells])
+
+
 def test_state_components_match_union_find_per_state():
     for d in random_codes(1, (0, 1, 2, 3, 4, 5, 6) * 2):
         cids = sorted(d.crossings())
         want = [smooth_components(d, dict(zip(cids, combo)))
                 for combo in itertools.product(SMOOTHINGS, repeat=len(cids))]
         assert list(state_components(d)) == want
+
+
+def has_cut(d):
+    """True when some gap between classical passes is straddled by no
+    classical crossing, so the code is a product at that gap."""
+    met = set()
+    classical = [p for p in d.passes if p.kind != "V"]
+    for p in classical[:-1]:
+        met ^= {p.crossing}
+        if not met:
+            return True
+    return False
+
+
+def oracle_codes(corpus):
+    """Seeded codes with c <= 8 and 2 virtual crossings, cut-free codes of
+    width 6, 7 and 8, corpus products, and codes with kinks in both
+    orientations (u_out == o_in and u_in == o_out)."""
+    rng = random.Random(9)
+    codes = [random_code(rng, c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8)]
+    for c, width in ((6, 6), (7, 7), (8, 6), (8, 7), (8, 8)):
+        codes.append(next(d for d in iter(lambda: random_code(rng, c), None)
+                          if frontier_width(d) == width and not has_cut(d)))
+    names = sorted(corpus)
+    for _ in range(4):
+        a, b = rng.sample(names, 2)
+        d = product(corpus[a], corpus[b])
+        if d.classical_count <= 8:
+            codes.append(d)
+    for c in (3, 5, 6):
+        d = random_code(rng, c)
+        for over_first in (True, False):
+            kinked = insert_move(d, "R1", rng.randint(0, len(d.passes)),
+                                 sign=rng.choice((1, -1)), over_first=over_first)
+            codes.append(kinked)
+    kinks = [cr for d in codes for cr in d.crossings().values()]
+    assert any(cr.u_out == cr.o_in for cr in kinks)
+    assert any(cr.u_in == cr.o_out for cr in kinks)
+    return codes
+
+
+def test_sweep_matches_the_3c_state_sum(corpus, z3_involution, z5_bracket,
+                                        z3_shift, z37_bracket, z3_coloring,
+                                        z3_coloring_brackets):
+    codes = oracle_codes(corpus)
+    for d in codes:
+        for x, br in ((z3_involution, z5_bracket), (z3_shift, z37_bracket)):
+            assert invariants(d, x, br) == dense_invariants(d, x, br)
+    for br in z3_coloring_brackets:
+        for d in codes:
+            assert invariants(d, z3_coloring, br) \
+                == dense_invariants(d, z3_coloring, br)
 
 
 @pytest.mark.parametrize("biquandle, bracket", [
