@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -87,9 +88,16 @@ def _load_bracket(path: str, x: FiniteBiquandle) -> VirtualBracket:
         raise CliExit("bad bracket file %s: %s" % (path, exc))
 
 
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliExit("cannot write %s: %s" % (path, exc))
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -258,6 +266,8 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.trials < 0:
+        raise CliExit("--trials must be at least 0, not %d" % args.trials)
     x = _verified_biquandle(args.biquandle)
     d = _load_diagram(args.diagram)
     br = _verified_bracket(args, x)
@@ -288,14 +298,18 @@ def cmd_search(args) -> int:
                            require_delta_unit=args.require_delta_unit)
     except ValueError as exc:
         raise CliExit(str(exc))
-    result = search_brackets(x, cfg)
     outdir = Path(args.out_dir) if args.out_dir else None
     if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
+        # before the search, which can take seconds
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliExit("cannot write %s: %s" % (outdir, exc))
+    result = search_brackets(x, cfg)
     for k, br in enumerate(result.brackets):
         text = render_bracket(br)
         if outdir:
-            (outdir / ("bracket_%03d.bvb" % k)).write_text(text, encoding="utf-8")
+            _write(outdir / ("bracket_%03d.bvb" % k), text)
         print("solution %d: p=%d delta=%d omega=%d ansatz=%s"
               % (k, cfg.modulus, br.delta, br.omega, cfg.ansatz))
         if not outdir:
@@ -346,7 +360,10 @@ def cmd_bracket_fundamental(args) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused for the life of the
+    process; ``parse_args`` returns a fresh namespace on every call."""
     ap = argparse.ArgumentParser(
         prog="vknotoid",
         description="Biquandle invariants of virtual knotoids")

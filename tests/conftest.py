@@ -1,5 +1,6 @@
 import pytest
 
+from vknotoid.biquandle import FiniteBiquandle
 from vknotoid.data import (load_biquandle, load_bracket, load_corpus,
                            corpus_names, corpus_manifest)
 from vknotoid.search import SearchConfig, search_brackets
@@ -23,6 +24,15 @@ def z3_involution():
 @pytest.fixture(scope="session")
 def z3_shift():
     return load_biquandle("z3_shift")
+
+
+@pytest.fixture(scope="session")
+def dihedral():
+    """Trivial x -> x and R3 (x, y) -> 2y - x mod 3, in both placements: the
+    only tables here whose over operation reads its second argument."""
+    triv = tuple(tuple(a for _ in range(3)) for a in range(3))
+    r3 = tuple(tuple((2 * b - a) % 3 for b in range(3)) for a in range(3))
+    return (FiniteBiquandle(triv, r3), FiniteBiquandle(r3, triv))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from vknotoid.bracket import (ColoringMismatch, VirtualBracket,
                               evaluate_symbolic, fundamental_bracket,
                               parse_bracket, render_bracket, render_symbolic,
                               smooth_components, verify_bracket_axioms)
-from vknotoid.biquandle import FiniteBiquandle
+from vknotoid.biquandle import FiniteBiquandle, verify_biquandle_axioms
 from vknotoid.coloring import enumerate_colorings
 from vknotoid.diagram import parse_diagram
 from vknotoid.ring import poly_render
@@ -94,6 +94,40 @@ def test_violations_are_frozen(z5_bracket, z37_bracket):
     assert sum(map(len, reports)) == 18929
     assert hashlib.sha256(repr(reports).encode()).hexdigest() \
         == "f03b0c76cd1923b552bbe9c348b09236a382dc3970708f8dda9bb7f56a5c4b50"
+
+
+def biquandle_mutations(x, count, seed=0):
+    """Tables differing from ``x`` in one entry of one operation, or, every
+    other one, in two entries of one column swapped: that keeps the column
+    maps bijective, so an exchange law can be the first violation."""
+    rng = random.Random(seed)
+    for k in range(count):
+        tables = [[list(r) for r in x.under_table], [list(r) for r in x.over_table]]
+        t, j = rng.choice(tables), rng.randrange(x.n)
+        a, b = rng.sample(range(x.n), 2)
+        if k % 2:
+            t[a][j], t[b][j] = t[b][j], t[a][j]
+        else:
+            t[a][j] = (t[a][j] + rng.randrange(1, x.n)) % x.n
+        yield FiniteBiquandle(*(tuple(map(tuple, t)) for t in tables))
+
+
+@pytest.mark.parametrize("first_only, count, digest", [
+    (False, 8287, "ed1b1a918eadf9478de0bd8ee64b26fc14e7be6edb809af7aa490c77b0dd90c6"),
+    (True, 357, "d42ee0c8059236ef0bb753813c8dbb21b0d05e7b9dbfbd89c3e8405dc6052f56"),
+])
+def test_biquandle_violations_are_frozen(z3_coloring, z3_involution, z3_shift,
+                                         z5_alexander, dihedral,
+                                         first_only, count, digest):
+    # every AxiomReport of the biquandle verifier, violations in report order,
+    # over the bundled and dihedral tables and 60 mutations of each
+    reports = [verify_biquandle_axioms(t, first_only)
+               for x in (z3_coloring, z3_involution, z3_shift, z5_alexander,
+                         *dihedral)
+               for t in (x, *biquandle_mutations(x, 60))]
+    assert len(reports) == 366
+    assert sum(len(r.violations) for r in reports) == count
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest
 
 
 def test_bracket_file_round_trip(z5_bracket, z3_involution):

@@ -1,6 +1,8 @@
 import json
 
-from vknotoid.cli import main
+import pytest
+
+from vknotoid.cli import build_parser, main
 from vknotoid.data import data_dir, corpus_dir
 
 BIQ = data_dir() / "biquandles"
@@ -264,3 +266,66 @@ def test_search_checks_the_biquandle(tmp_path, capsys):
     assert out == ""                         # no "solutions" printed
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: biquandle fails axioms")
+
+
+def test_unwritable_output_paths(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    inv = ["invariants", corpus_dir() / "2.1.1.knd",
+           "--biquandle", BIQ / "z3_coloring.biq"]
+    for argv in (["biquandle", "alexander", 5, 2, 3, "--out", tmp_path],
+                 inv + ["--out", tmp_path],
+                 inv + ["--format", "json", "--out", tmp_path / "missing" / "x"],
+                 ["search", "--biquandle", BIQ / "z3_involution.biq",
+                  "--modulus", 3, "--out-dir", blocker]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""                         # the search did not run
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
+
+def test_search_reports_an_unwritable_bracket_file(tmp_path, capsys):
+    (tmp_path / "bracket_000.bvb").mkdir()
+    assert run(["search", "--biquandle", BIQ / "z3_involution.biq",
+                "--modulus", 3, "--out-dir", tmp_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
+
+def test_selftest_rejects_negative_trials(capsys):
+    assert run(["selftest", corpus_dir() / "2.1.1.knd",
+                "--biquandle", BIQ / "z3_coloring.biq", "--trials", -3]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --trials") and len(err.splitlines()) == 1
+
+
+# -- one parser per process: no call sees another's options ------------------------
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_carries_no_option_over(capsys):
+    argv = ["invariants", corpus_dir() / "2.1.1.knd",
+            "--biquandle", BIQ / "z3_shift.biq"]
+    bracket = ["--bracket", BRK / "z37_shift.bvb"]
+    assert run(argv + bracket + ["--no-verify", "--format", "json"]) == 0
+    assert "bracket_matrix" in capsys.readouterr().out
+    assert run(argv + bracket) == 1              # verified again, and fails
+    assert "bracket fails" in one_line_error(capsys)
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("name: 2.1.1\n")        # text, the default format
+    assert "bracket" not in out
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["invariants", corpus_dir() / "2.1.1.knd", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert run(["invariants", corpus_dir() / "2.1.1.knd",
+                "--biquandle", BIQ / "z3_involution.biq"]) == 0
+    assert "colorings: 3" in capsys.readouterr().out

@@ -10,8 +10,7 @@ from operator import mul
 
 import pytest
 
-from vknotoid.biquandle import (FiniteBiquandle, alexander_biquandle,
-                                verify_biquandle_axioms)
+from vknotoid.biquandle import alexander_biquandle, verify_biquandle_axioms
 from vknotoid.bracket import (SMOOTHINGS, Invariants, bracket_matrix,
                               evaluate, evaluate_symbolic, fundamental_bracket,
                               invariants, smooth_components)
@@ -47,17 +46,6 @@ def frontier_width(d):
             met ^= {p.crossing}
             width = max(width, len(met))
     return width
-
-
-def _dihedral():
-    # trivial x -> x and R3 (x, y) -> 2y - x mod 3, in both placements: the
-    # only tables here whose over operation reads its second argument
-    triv = tuple(tuple(a for _ in range(3)) for a in range(3))
-    r3 = tuple(tuple((2 * b - a) % 3 for b in range(3)) for a in range(3))
-    return (FiniteBiquandle(triv, r3), FiniteBiquandle(r3, triv))
-
-
-DIHEDRAL = _dihedral()
 
 
 def state_components(diagram):
@@ -232,10 +220,10 @@ def brute_force_colorings(d, x):
 
 
 def test_colorings_are_the_sorted_brute_force_list(z3_coloring, z3_involution,
-                                                   z5_alexander):
+                                                   z5_alexander, dihedral):
     # brute force tries n^(2c+1) assignments, so the codes stay small
     for d in random_codes(3, (0, 1, 2, 3, 4) * 3):
-        for x in (z3_coloring, z3_involution) + DIHEDRAL:
+        for x in (z3_coloring, z3_involution) + dihedral:
             assert enumerate_colorings(d, x) == brute_force_colorings(d, x)
     for d in random_codes(4, (1, 2, 2)):
         assert enumerate_colorings(d, z5_alexander) \
@@ -252,8 +240,8 @@ def test_one_pass_agrees_with_the_wrappers(z3_involution, z5_bracket):
 
 
 
-def test_dihedral_tables_are_biquandles():
-    for x in DIHEDRAL:
+def test_dihedral_tables_are_biquandles(dihedral):
+    for x in dihedral:
         assert verify_biquandle_axioms(x).passed
 
 
@@ -315,7 +303,7 @@ def walk_colorings(diagram, x):
 
 
 def test_colorings_match_the_traversal_walk(z3_coloring, z3_involution,
-                                            z3_shift, z5_alexander):
+                                            z3_shift, z5_alexander, dihedral):
     rng = random.Random(6)
     codes = [random_code(rng, c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8) * 2]
     # the widest codes: every crossing met once before any is met twice
@@ -323,7 +311,7 @@ def test_colorings_match_the_traversal_walk(z3_coloring, z3_involution,
         codes.append(next(d for d in iter(lambda: random_code(rng, c), None)
                           if frontier_width(d) == c))
     for d in codes:
-        for x in (z3_coloring, z3_involution, z3_shift) + DIHEDRAL:
+        for x in (z3_coloring, z3_involution, z3_shift) + dihedral:
             assert enumerate_colorings(d, x) == sorted(walk_colorings(d, x))
         if frontier_width(d) <= 6:
             # the walk costs about 5^width over five elements
