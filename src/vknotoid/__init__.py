@@ -7,7 +7,7 @@ from .ring import (Modulus, RingElement, BracketPolynomial, inverse,
                    ModulusMismatch, NotAUnit)
 from .biquandle import (FiniteBiquandle, AxiomReport, alexander_biquandle,
                         parse_operation_matrix, render_operation_matrix,
-                        verify_biquandle_axioms, sideways_inverse,
+                        verify_biquandle_axioms,
                         ShapeError, RangeError, NotABiquandle)
 from .diagram import (KnotoidDiagram, Pass, Crossing, Presentation, Relation,
                       parse_diagram, render_diagram, writhe,
@@ -18,7 +18,7 @@ from .coloring import (enumerate_colorings, iter_colorings,
                        counting_invariant, counting_matrix, matrix_product)
 from .bracket import (VirtualBracket, SymbolicBracket, SymbolicTerm, State,
                       parse_bracket, render_bracket, verify_bracket_axioms,
-                      smooth_components, enumerate_states,
+                      enumerate_states,
                       evaluate, Invariants, invariants, bracket_multiset,
                       bracket_polynomial, bracket_matrix,
                       fundamental_bracket, render_symbolic, evaluate_symbolic,

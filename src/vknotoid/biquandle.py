@@ -58,8 +58,6 @@ class FiniteBiquandle:
 
     under_table: Table
     over_table: Table
-    _beta_inv: Table = field(repr=False, compare=False, default=())
-    _alpha_inv: Table = field(repr=False, compare=False, default=())
     _solvers: tuple = field(repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
@@ -71,15 +69,6 @@ class FiniteBiquandle:
                 for e in row:
                     if not 0 <= e < n:
                         raise RangeError("entry %d outside 0..%d" % (e, n - 1))
-        # column inverses; needed to push colors through crossings
-        beta = [[-1] * n for _ in range(n)]
-        alpha = [[-1] * n for _ in range(n)]
-        for y in range(n):
-            for x in range(n):
-                beta[self.under_table[x][y]][y] = x
-                alpha[self.over_table[x][y]][y] = x
-        object.__setattr__(self, "_beta_inv", tuple(tuple(r) for r in beta))
-        object.__setattr__(self, "_alpha_inv", tuple(tuple(r) for r in alpha))
         object.__setattr__(self, "_solvers", self._solve_tables())
 
     def _solve_tables(self) -> tuple:
@@ -90,7 +79,13 @@ class FiniteBiquandle:
         (a, c).  A table that is not a function is None."""
         rn = range(self.n)
         under, over = self.under_table, self.over_table
-        alpha, beta = self._alpha_inv, self._beta_inv
+        # the column inverses: under[beta[d][b]][b] = d, over[alpha[c][a]][a] = c
+        beta = [[-1] * self.n for _ in rn]
+        alpha = [[-1] * self.n for _ in rn]
+        for y in rn:
+            for x in rn:
+                beta[under[x][y]][y] = x
+                alpha[over[x][y]][y] = x
         fwd = tuple(tuple((over[b][a], under[a][b]) for b in rn) for a in rn)
         back: list[list] = [[None] * self.n for _ in rn]
         for a in rn:
@@ -118,19 +113,6 @@ class FiniteBiquandle:
 
     def over_op(self, x: int, y: int) -> int:
         return self.over_table[x][y]
-
-    def under_inv(self, z: int, y: int) -> int:
-        """The unique x with x under y == z; NotABiquandle if the column fails."""
-        x = self._beta_inv[z][y]
-        if x < 0:
-            raise NotABiquandle("under-column %d is not a bijection" % y)
-        return x
-
-    def over_inv(self, z: int, y: int) -> int:
-        x = self._alpha_inv[z][y]
-        if x < 0:
-            raise NotABiquandle("over-column %d is not a bijection" % y)
-        return x
 
     def sideways(self, x: int, y: int) -> tuple[int, int]:
         """S(x, y) = (y over x, x under y)."""
@@ -266,12 +248,3 @@ def verify_biquandle_axioms(x: FiniteBiquandle, first_only: bool = False) -> Axi
                         if record(tag, (a + 1, b + 1, c + 1)):
                             return AxiomReport(False, tuple(bad))
     return AxiomReport(not bad, tuple(bad))
-
-
-def sideways_inverse(a: int, b: int, x: FiniteBiquandle) -> tuple[int, int]:
-    """The unique (p, q) with S(p, q) = (a, b), i.e. q over p = a and
-    p under q = b; NotABiquandle if S is not a bijection."""
-    back = x._solvers[1]
-    if back is None:
-        raise NotABiquandle("the sideways map is not a bijection")
-    return back[a][b]

@@ -33,15 +33,15 @@ coloring, the sum over partial states is carried from level to level with
 the weights coefficient * delta^loops, so the cost grows with the number of
 states, which is set by the boundary width, not with 3^c; no step divides by
 delta.  :func:`invariants` enumerates the colorings once and fills the
-counting and bracket matrices together.  The per-state path
+counting and bracket matrices together.  The symbolic form
 (:func:`enumerate_states`, :func:`fundamental_bracket`,
-:func:`evaluate_symbolic`) remains as the symbolic form and as the reference
-the tests compare against.
+:func:`evaluate_symbolic`) reads its 3^c terms off the same plan: each path
+through the sweep is one state, and its component count is the open piece
+plus the loops along the path, so the sweep is the only component counter.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -248,83 +248,16 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     return AxiomReport(not bad, tuple(bad))
 
 
-# -- state enumeration ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class State:
-    """One smoothing choice per classical crossing id, plus the component
-    count m of the smoothed curve (closed circles + the open segment)."""
-    smoothings: tuple[tuple[int, str], ...]
-    components: int
-
-
-def smooth_components(diagram: KnotoidDiagram,
-                      smoothing: dict[int, str]) -> int:
-    """Component count of the smoothed curve via union-find over pass ports.
-
-    Virtual crossings (and virtual smoothings) are pass-throughs; the two
-    planar smoothings reconnect the four crossing ports as described in the
-    module docstring.  The open component always counts, so the minimum is 1.
-    """
-    crossings = diagram.crossings()
-    c = diagram.classical_count
-    npass = 2 * c
-    size = 2 * npass + 2
-    tail, head = size - 2, size - 1
-    parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    # semi-arc k joins the out-port of pass k-1 to the in-port of pass k
-    for k in range(npass + 1):
-        a = tail if k == 0 else 2 * (k - 1) + 1
-        b = head if k == npass else 2 * k
-        union(a, b)
-    for cid, cr in crossings.items():
-        u_in, u_out = 2 * cr.under_pass, 2 * cr.under_pass + 1
-        o_in, o_out = 2 * cr.over_pass, 2 * cr.over_pass + 1
-        kind = smoothing[cid]
-        if kind == "vertical":
-            union(u_in, o_out)
-            union(o_in, u_out)
-        elif kind == "horizontal":
-            union(u_in, o_in)
-            union(u_out, o_out)
-        elif kind == "virtual":
-            union(u_in, u_out)
-            union(o_in, o_out)
-        else:
-            raise ValueError("unknown smoothing %r" % kind)
-    return len({find(i) for i in range(size)})
-
-
-def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
-    """All 3^c states in mixed-radix order over ascending crossing ids."""
-    cids = sorted(diagram.crossings())
-    out = []
-    for combo in itertools.product(SMOOTHINGS, repeat=len(cids)):
-        sm = dict(zip(cids, combo))
-        out.append(State(tuple(zip(cids, combo)), smooth_components(diagram, sm)))
-    return out
-
-
 # -- evaluation ----------------------------------------------------------------
 
 class _StatePlan(NamedTuple):
-    """Per-diagram cache: the writhe and one level per classical crossing in
-    sweep order.  A level is the crossing's sign, its coefficient argument
-    pair, and for each state after the crossing its incoming edges
-    (source state, smoothing + 3 * closed loops)."""
+    """Per-diagram cache: the writhe, the crossing ids in sweep order and one
+    level per classical crossing in that order.  A level is the crossing's
+    sign, its coefficient argument pair, and for each state after the
+    crossing its incoming edges (source state, smoothing + 3 * closed
+    loops)."""
     writhe: int
+    sweep: tuple[int, ...]
     levels: tuple[tuple[int, tuple[int, int],
                         tuple[tuple[tuple[int, int], ...], ...]], ...]
 
@@ -395,15 +328,16 @@ def _plan(diagram: KnotoidDiagram) -> _StatePlan:
     plan = _PLANS.get(key)
     if plan is not None:
         return plan
-    todo = list(diagram.crossings().values())
+    todo = list(diagram.crossings().items())
     unswept = [2] * diagram.semi_arc_count
     boundary: list[int] = []
     states: dict[tuple[int, ...], int] = {(): 0}
-    levels = []
+    sweep, levels = [], []
     while todo:
-        cr = min(todo, key=lambda cr: (_width_after(cr, unswept, len(boundary)),
-                                       max(cr.under_pass, cr.over_pass)))
-        todo.remove(cr)
+        cid, cr = min(todo, key=lambda item: (
+            _width_after(item[1], unswept, len(boundary)),
+            max(item[1].under_pass, item[1].over_pass)))
+        todo.remove((cid, cr))
         ports = (cr.u_in, cr.u_out, cr.o_in, cr.o_out)
         for a in ports:
             unswept[a] -= 1
@@ -443,9 +377,10 @@ def _plan(diagram: KnotoidDiagram) -> _StatePlan:
                     incoming.append([])
                 incoming[t].append((s, kind + 3 * loops))
         boundary, states = after, successors
+        sweep.append(cid)
         levels.append((cr.sign, cr.pair(), tuple(map(tuple, incoming))))
     assert len(states) == 1
-    plan = _StatePlan(writhe(diagram), tuple(levels))
+    plan = _StatePlan(writhe(diagram), tuple(sweep), tuple(levels))
     if len(_PLANS) > 64:
         _PLANS.clear()
     _PLANS[key] = plan
@@ -571,6 +506,34 @@ class SymbolicTerm:
 class SymbolicBracket:
     crossing_count: int
     terms: tuple[SymbolicTerm, ...]
+
+
+@dataclass(frozen=True)
+class State:
+    """One smoothing choice per classical crossing id, plus the component
+    count m of the smoothed curve (closed circles + the open segment)."""
+    smoothings: tuple[tuple[int, str], ...]
+    components: int
+
+
+def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
+    """All 3^c states in mixed-radix order over ascending crossing ids.
+
+    Each path through the levels of the sweep plan picks one smoothing per
+    crossing, in sweep order; its component count is the open piece plus the
+    loops its edges close.
+    """
+    plan = _plan(diagram)
+    paths = [[((), 1)]]                 # per partial state: (kinds, components)
+    for _, _, incoming in plan.levels:
+        paths = [[(kinds + (x % 3,), m + x // 3)
+                  for s, x in edges for kinds, m in paths[s]]
+                 for edges in incoming]
+    cids = sorted(plan.sweep)
+    where = [plan.sweep.index(cid) for cid in cids]
+    states = sorted((tuple(kinds[k] for k in where), m) for kinds, m in paths[0])
+    return [State(tuple(zip(cids, (SMOOTHINGS[k] for k in kinds))), m)
+            for kinds, m in states]
 
 
 def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:

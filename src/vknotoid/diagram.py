@@ -161,14 +161,6 @@ class KnotoidDiagram:
         return {cid: Crossing(sign[cid], spots["U"], spots["O"])
                 for cid, spots in where.items()}
 
-    def arc_of_token(self, token_index: int) -> int:
-        """Semi-arc that the given token position sits on (virtual passes and
-        gap positions live inside some semi-arc)."""
-        k = 0
-        for p in self.passes[:token_index]:
-            if p.kind != "V":
-                k += 1
-        return k
 
 
 def writhe(diagram: KnotoidDiagram) -> int:

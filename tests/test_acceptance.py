@@ -19,7 +19,7 @@ from vknotoid.biquandle import (FiniteBiquandle, alexander_biquandle,
 from vknotoid.bracket import (bracket_matrix, bracket_multiset,
                               bracket_polynomial, evaluate,
                               evaluate_symbolic, fundamental_bracket,
-                              smooth_components, verify_bracket_axioms)
+                              verify_bracket_axioms)
 from vknotoid.coloring import (counting_invariant, counting_matrix,
                                enumerate_colorings, matrix_product)
 from vknotoid.diagram import (crossing_relations, insert_move, product,
@@ -313,15 +313,10 @@ def test_c09e_brute_force_oracles(corpus, z3_coloring, z3_involution):
                                                   repeat=d.semi_arc_count)
                      if all(relation_holds(r, f, x) for r in pres.relations)]
             assert sorted(brute) == sorted(enumerate_colorings(d, x))
-    # component counting against naive traversal
-    from test_bracket import naive_components
+    # the sweep plan's state components against naive traversal
+    from test_bracket import assert_states_match_naive
     for name in small:
-        d = corpus[name]
-        cids = sorted(d.crossings())
-        for combo in itertools.product(("vertical", "horizontal", "virtual"),
-                                       repeat=len(cids)):
-            sm = dict(zip(cids, combo))
-            assert smooth_components(d, sm) == naive_components(d, sm)
+        assert_states_match_naive(corpus[name])
     report("C9e brute-force oracles agree (colorings + components): PASS")
 
 

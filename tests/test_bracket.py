@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from vknotoid.bracket import (ColoringMismatch, VirtualBracket,
+from vknotoid.bracket import (ColoringMismatch, State, VirtualBracket,
                               bracket_matrix, bracket_multiset,
                               bracket_polynomial, enumerate_states, evaluate,
                               evaluate_symbolic, fundamental_bracket,
                               parse_bracket, render_bracket, render_symbolic,
-                              smooth_components, verify_bracket_axioms)
+                              verify_bracket_axioms)
 from vknotoid.biquandle import FiniteBiquandle, verify_biquandle_axioms
 from vknotoid.coloring import enumerate_colorings
 from vknotoid.diagram import parse_diagram
@@ -178,22 +178,38 @@ def naive_components(diagram, smoothing):
     return comps
 
 
+def assert_states_match_naive(diagram):
+    """The states read off the sweep plan come in mixed-radix order over
+    ascending crossing ids, and each has the naive walk's component count."""
+    states = enumerate_states(diagram)
+    cids = sorted(diagram.crossings())
+    assert [st.smoothings for st in states] == [
+        tuple(zip(cids, combo))
+        for combo in itertools.product(("vertical", "horizontal", "virtual"),
+                                       repeat=len(cids))]
+    for st in states:
+        assert st.components == naive_components(diagram, dict(st.smoothings))
+    return states
+
+
 def test_trivial_components():
-    assert smooth_components(parse_diagram(""), {}) == 1
+    d = parse_diagram("")
+    assert enumerate_states(d) == [State((), 1)]
+    assert naive_components(d, {}) == 1
 
 
 def test_2_1_1_both_horizontal_has_two_components(corpus):
     d = corpus["2.1.1"]
-    assert smooth_components(d, {1: "horizontal", 2: "horizontal"}) == 2
+    both = ((1, "horizontal"), (2, "horizontal"))
+    assert {st.smoothings: st.components
+            for st in enumerate_states(d)}[both] == 2
+    assert naive_components(d, dict(both)) == 2
 
 
 def test_2_1_1_state_multiset(corpus):
     d = corpus["2.1.1"]
-    counts = {}
-    for s1 in ("vertical", "horizontal", "virtual"):
-        for s2 in ("vertical", "horizontal", "virtual"):
-            m = smooth_components(d, {1: s1, 2: s2})
-            counts[(s1, s2)] = m
+    counts = {tuple(kind for _, kind in st.smoothings): st.components
+              for st in assert_states_match_naive(d)}
     twos = {k for k, v in counts.items() if v == 2}
     assert twos == {("horizontal", "horizontal"), ("vertical", "virtual"),
                     ("virtual", "vertical")}
@@ -210,13 +226,7 @@ def test_components_match_naive_oracle(corpus):
     smalls = [corpus[n] for n in ("2.1.1", "2.1.2", "3.1.2", "3.1.9")]
     smalls.append(parse_diagram("O+1,U+1,V1,V1"))
     for d in smalls:
-        if d.classical_count > 3 and d.name != "2.1.2":
-            continue
-        cids = sorted(d.crossings())
-        for combo in itertools.product(("vertical", "horizontal", "virtual"),
-                                       repeat=len(cids)):
-            sm = dict(zip(cids, combo))
-            assert smooth_components(d, sm) == naive_components(d, sm)
+        assert_states_match_naive(d)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -335,6 +345,71 @@ def test_fundamental_of_2_1_1_reproduces_reference_structure(corpus):
     }
     exps = sorted(t.delta_exp for t in sym.terms)
     assert exps == [1, 1, 1, 1, 1, 1, 2, 2, 2]
+
+
+# sha256 of render_symbolic(fundamental_bracket(d)), the output of
+# ``vknotoid bracket fundamental``: its term order, letters, semi-arc labels
+# and delta exponents.  Taken with the per-state union-find counter that the
+# sweep plan replaced.
+FUNDAMENTAL_DIGESTS = {
+    "2.1.1": "b7132fa2eb9a05332501bfcb31fe932c3bb8f0d8cffff8ff5c0f94d90820d44a",
+    "2.1.2": "a9b8a9d610e620143b00286ce115f7600654a63a1eadee3e074edb294e130615",
+    "3.1.1": "662c40a8d624632ef2db1cb37b24d19fe2f140db6b1bc30858d2e829963d7c6e",
+    "3.1.2": "6352011874ba5a665b846a78fb0e362f738dbaf97a0e8d6b2736ed9d2a117107",
+    "3.1.3": "af48af827bab5abe6125bd12a55cec488fe88dc49563dbeffc166092438635ed",
+    "3.1.4": "111567586dbad4842a6ba2efd0e67580ed47c17170d8e99edf47f2850fb78aca",
+    "3.1.5": "718945b2fc3e8abf53ee7e95aa8017e8ede9e0ac419bdc3a5d18d0b9116df5d3",
+    "3.1.6": "e42e4c14ea2d982bdf8939d686f96b5f7cc24ce5ce692aa04bd4bff66e5ba3a9",
+    "3.1.7": "afca0480d3affdd45f89346e7aa8a070e7c8194928943f16db91b00ad2c5726b",
+    "3.1.8": "2ea42cdbfd9f47d1b8b808c159f1e64383b1a3641fbfa9531c1a2c6f0988859c",
+    "3.1.9": "0960003bbdfae5a83457213df3fa1142fd3c53c6cef991065a3bd73372da1acc",
+    "3.1.10": "f818c7a8cfd0dc705102463cfdac690447e00b4ae07f10bed857fa1785be49b9",
+    "4.1.1": "fbb2d2fb11e4a2b3f23faa2654017dc379cc3bf2579bf5a14abe6ce61c09e7c1",
+    "4.1.2": "66a2bd287056a3125b6a1ee52ecf7d344c11505b90ae7e61a18eeb6fafe30a52",
+    "4.1.3": "8c51177c2b01290a4d9d077988eec1af54468c0e22ae8ac2b07c9541d68ff4b9",
+    "4.1.4": "a82671198484bf5cb582e119faeb8d909f2633c21846326d772a1e899feca81e",
+    "4.1.5": "aa1f4e5b2def8583f8015b6e7f443b649c6c205ae7c891bf2b6d23ae174c2331",
+    "4.1.6": "565ea799ac4493cac333a5fd6835ea039b3413a065d82e156ec4a0c4b02655c2",
+    "4.1.7": "6107d5ab8bfebf10bcc3f4076084e8de681bcee3f24828fb7f2a9775caffa742",
+    "4.1.8": "fdc1d2bd2bb4822088cbc22881ad1753b99757f55665d3674733f5489fe4bb1d",
+    "4.1.9": "d791f9c5c86b600c48332bd6e31cd6e6427026b62f1501e685f2395bf964caa5",
+    "4.1.10": "0544309467a45ae33a7dd79c187a03845e38020154b961ddfa803a65170c019a",
+    "5.1.1": "06ff81c006ebb8dc116d2aa267cb21de6f6296de30b02a3854037557956a0a8f",
+    "5.1.2": "12b880bdd2fb2f63f7121014f06d69f460f41c466e5d00032af46d4956c958c5",
+    "5.1.3": "15ef7a398c131a3f087351ef4834d7af742568baef00e2a12542518a31c673fd",
+    "5.1.4": "ee9b6319a092e9cd54ccf5a076bedbc3a5ca06ea076ea981a5cd79e7864c0904",
+    "5.1.5": "e0b3af2c5f383f103870053742ef7a1e8ebd51c7ac1c853f7ef55689ae20a348",
+    "5.1.6": "ba27bd012962e70f4f4dffece016696d8685d6bdf4cafddf6911b966724577c2",
+    "5.1.7": "c09a86bde0e835853590c538827a05241b7f4a80fde641a3d5d1e2fc766d8355",
+    "5.1.8": "c8b259d61a235482101510a2d5acba6d795bd6894ad56ef9c99a1b14e6002c3c",
+    "5.1.9": "590c43e05fe74fdaf7f45270f39ddb0a9979dc42419179a109e272c81b02a130",
+    "5.1.10": "06bc6df1f0cbe015bc04963407c7bbe2f4a26ca713f0d4cb1549d8279ff0e122",
+    # a seeded c=7 code; a seeded c=5 code with an R1 kink of each
+    # orientation; 2.1.1 * 4.1.7 plain and with a kink
+    "V2,V1,V2,U+7,O-3,O+7,U-3,U+4,O+4,O-1,O-6,U-6,O+5,U-1,O-2,U+5,V1,U-2":
+        "8b5db6b56466b6be9a550583c5d7b81f411239b4969ee488779c82a5363484c1",
+    "U+1,O+3,O+4,O+6,U+6,V2,V2,O+2,V1,O+5,U+2,V1,U+3,U+4,O+1,U+5":
+        "d3af03684fdca8c86de7a01ee501500965df832adb8c733f3b2e524cd9091bab",
+    "U+1,O+3,O+4,V2,V2,O+2,V1,O+5,U-6,O-6,U+2,V1,U+3,U+4,O+1,U+5":
+        "a75d5f947fe43d7676a743e906bfa9d7fd07e89a8aa5599f4b4ea56cffd3951f",
+    "O-1,V1,U-2,U-1,V1,O-2,O-3,V2,U+4,U-3,O+4,O-5,U-6,U-5,V2,O-6":
+        "c218e72544c9a495cdf86db4a3cf64fc388547f1c6a4f8c8981dc282484c47ae",
+    "O-1,V1,U-2,U-1,V1,U+7,O+7,O-2,O-3,V2,U+4,U-3,O+4,O-5,U-6,U-5,V2,O-6":
+        "0c8305a918263566e5d442b277de64907d8abe1ebc024358f1ee5a607767ee9e",
+}
+
+
+def test_fundamental_bracket_output_is_frozen(corpus):
+    assert set(corpus) <= set(FUNDAMENTAL_DIGESTS)
+    diagrams = {key: corpus[key] if key in corpus else parse_diagram(key)
+                for key in FUNDAMENTAL_DIGESTS}
+    kinks = [cr for d in diagrams.values() for cr in d.crossings().values()]
+    assert any(cr.u_out == cr.o_in for cr in kinks)
+    assert any(cr.u_in == cr.o_out for cr in kinks)
+    for key, d in diagrams.items():
+        text = render_symbolic(fundamental_bracket(d))
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == FUNDAMENTAL_DIGESTS[key], key
 
 
 def test_symbolic_agrees_with_concrete(corpus, z3_involution, z3_shift,

@@ -1,8 +1,9 @@
 """Bit-for-bit oracles on seeded random codes: the frontier sweep against
 the 3^c state sum it replaced and against the symbolic state sum, the 3^c
-component table against per-state union-find, and the coloring plan against
-brute force, against the traversal walk it replaced, and on wide codes
-against linear algebra over Z_5."""
+component table and the sweep plan's states against a naive walk of the
+smoothed curve, and the coloring plan against brute force, against the
+traversal walk it replaced, and on wide codes against linear algebra over
+Z_5."""
 
 import itertools
 import random
@@ -11,14 +12,16 @@ from operator import mul
 import pytest
 
 from vknotoid.biquandle import alexander_biquandle, verify_biquandle_axioms
-from vknotoid.bracket import (SMOOTHINGS, Invariants, bracket_matrix,
-                              evaluate, evaluate_symbolic, fundamental_bracket,
-                              invariants, smooth_components)
+from vknotoid.bracket import (Invariants, bracket_matrix, evaluate,
+                              evaluate_symbolic, fundamental_bracket,
+                              invariants)
 from vknotoid.coloring import (counting_matrix, enumerate_colorings,
                                iter_colorings)
 from vknotoid.diagram import (KnotoidDiagram, Pass, crossing_relations,
                               insert_move, product, relation_holds, writhe)
 from vknotoid.ring import BracketPolynomial
+
+from test_bracket import assert_states_match_naive
 
 
 def random_code(rng, classical, virtual=2):
@@ -137,11 +140,20 @@ def dense_invariants(diagram, x, br):
 
 
 def test_state_components_match_union_find_per_state():
-    for d in random_codes(1, (0, 1, 2, 3, 4, 5, 6) * 2):
-        cids = sorted(d.crossings())
-        want = [smooth_components(d, dict(zip(cids, combo)))
-                for combo in itertools.product(SMOOTHINGS, repeat=len(cids))]
-        assert list(state_components(d)) == want
+    rng = random.Random(1)
+    codes = [random_code(rng, c) for c in (0, 1, 2, 3, 4, 5, 6) * 2]
+    for c in (2, 4, 5):
+        d = random_code(rng, c)
+        for over_first in (True, False):
+            codes.append(insert_move(d, "R1", rng.randint(0, len(d.passes)),
+                                     sign=rng.choice((1, -1)),
+                                     over_first=over_first))
+    kinks = [cr for d in codes for cr in d.crossings().values()]
+    assert any(cr.u_out == cr.o_in for cr in kinks)
+    assert any(cr.u_in == cr.o_out for cr in kinks)
+    for d in codes:
+        states = assert_states_match_naive(d)
+        assert list(state_components(d)) == [st.components for st in states]
 
 
 def has_cut(d):
@@ -245,12 +257,20 @@ def test_dihedral_tables_are_biquandles(dihedral):
         assert verify_biquandle_axioms(x).passed
 
 
+def _column_inverse(table, z, y):
+    """The unique x with table[x][y] == z, found by scanning column y."""
+    (x,) = [x for x, row in enumerate(table) if row[y] == z]
+    return x
+
+
 def _forced_outputs(x, sign, u_in, o_in):
     if sign > 0:
-        o_out = x.over_inv(o_in, u_in)       # o_in = o_out over u_in
+        # o_in = o_out over u_in
+        o_out = _column_inverse(x.over_table, o_in, u_in)
         u_out = x.under_op(u_in, o_out)
     else:
-        u_out = x.under_inv(u_in, o_in)      # u_in = u_out under o_in
+        # u_in = u_out under o_in
+        u_out = _column_inverse(x.under_table, u_in, o_in)
         o_out = x.over_op(o_in, u_out)
     return u_out, o_out
 
