@@ -199,34 +199,26 @@ def alexander_biquandle(modulus: Modulus | int, t: int, r: int,
     return FiniteBiquandle(under, over)
 
 
-def verify_biquandle_axioms(x: FiniteBiquandle, first_only: bool = False) -> AxiomReport:
+def verify_biquandle_axioms(x: FiniteBiquandle) -> AxiomReport:
     """Exhaustive check of the three axioms (O(n^3); n is small here)."""
     n = x.n
     under, over = x.under_table, x.over_table
     bad: list[tuple[str, tuple]] = []
 
-    def record(axiom: str, witness: tuple) -> bool:
-        bad.append((axiom, witness))
-        return first_only
-
     for a in range(n):
         if under[a][a] != over[a][a]:
-            if record("diagonal", (a + 1,)):
-                return AxiomReport(False, tuple(bad))
+            bad.append(("diagonal", (a + 1,)))
     # columns: under_cols[y][a] = a under y
     under_cols, over_cols = tuple(zip(*under)), tuple(zip(*over))
     elements = list(range(n))
     for y in range(n):
         if sorted(under_cols[y]) != elements:
-            if record("under-column", (y + 1,)):
-                return AxiomReport(False, tuple(bad))
+            bad.append(("under-column", (y + 1,)))
         if sorted(over_cols[y]) != elements:
-            if record("over-column", (y + 1,)):
-                return AxiomReport(False, tuple(bad))
+            bad.append(("over-column", (y + 1,)))
     images = {(over[b][a], under[a][b]) for a in range(n) for b in range(n)}
     if len(images) != n * n:
-        if record("sideways", ()):
-            return AxiomReport(False, tuple(bad))
+        bad.append(("sideways", ()))
     for a in range(n):
         under_a, over_a = under[a], over[a]
         for b in range(n):
@@ -245,6 +237,5 @@ def verify_biquandle_axioms(x: FiniteBiquandle, first_only: bool = False) -> Axi
                 for ok, tag in ((uu, "exchange-uu"), (uo, "exchange-uo"),
                                 (oo, "exchange-oo")):
                     if not ok:
-                        if record(tag, (a + 1, b + 1, c + 1)):
-                            return AxiomReport(False, tuple(bad))
+                        bad.append((tag, (a + 1, b + 1, c + 1)))
     return AxiomReport(not bad, tuple(bad))

@@ -20,9 +20,10 @@ Axiom checking covers the 23 equation families a valid bracket must satisfy
 for the state sum to be move-invariant.  The triple families (9)-(23) were
 derived mechanically from the state sum on three-strand tangles (and the
 pair families from the two R2 variants).  Each family is written once:
-:func:`pair_residuals` holds (3)-(8), :func:`triple_slots` the index
-placement of (9)-(23) forced by invariance, and :func:`triple_residuals`
-their terms; the verifier and the search both read these.
+:func:`diagonal_residuals` holds (1)-(2), :func:`pair_residuals` (3)-(8),
+:func:`triple_slots` the index placement of (9)-(23) forced by invariance,
+and :func:`triple_residuals` their terms; the verifier and the search both
+read these.
 
 Evaluation is compiled once per diagram into a frontier sweep (see
 :func:`_plan`): the crossings are swept one at a time, and a state records
@@ -147,6 +148,14 @@ def render_bracket(br: VirtualBracket) -> str:
 
 # -- the bracket equations -----------------------------------------------------
 
+def diagonal_residuals(delta: int, omega: int, a: int, b: int, v: int,
+                       c: int, d: int, u: int) -> tuple[int, int]:
+    """Left minus right of (1), and of (2) times the unit omega, for the
+    coefficients (A, B, V, C, D, U) at a diagonal pair (x, x)."""
+    return (delta * a + b + v - omega,
+            (delta * c + d + u) * omega - 1)
+
+
 def pair_residuals(delta: int, a: int, b: int, v: int,
                    c: int, d: int, u: int) -> tuple[int, ...]:
     """Left minus right of the pair families (3)-(8), in family order, for
@@ -219,16 +228,15 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     x = br.biquandle
     n, m, d = x.n, br.modulus.m, br.delta
     A, B, V, C, D, U = br.A, br.B, br.V, br.C, br.D, br.U
-    w = br.omega
-    winv = pow(w, -1, m)
     abv = [list(zip(*rows)) for rows in zip(A, B, V)]    # abv[i][j] = (A, B, V)
     bad: list[tuple[str, tuple]] = []
 
     for a in range(n):
-        if (d * A[a][a] + B[a][a] + V[a][a] - w) % m:
-            bad.append(("1", (a + 1,)))
-        if (d * C[a][a] + D[a][a] + U[a][a] - winv) % m:
-            bad.append(("2", (a + 1,)))
+        vals = diagonal_residuals(d, br.omega, *abv[a][a], C[a][a], D[a][a],
+                                  U[a][a])
+        for key, val in zip(("1", "2"), vals):
+            if val % m:
+                bad.append((key, (a + 1,)))
     for a in range(n):
         for b in range(n):
             vals = pair_residuals(d, *abv[a][b], C[a][b], D[a][b], U[a][b])

@@ -43,7 +43,8 @@ class PairingError(DiagramError):
 
 
 class SignError(DiagramError):
-    """The two passes of a classical crossing disagree on the sign."""
+    """A classical crossing's two passes disagree on the sign, or its sign is
+    not +1 or -1."""
 
 
 class PositionError(DiagramError):
@@ -121,6 +122,9 @@ class KnotoidDiagram:
                     "under pass" % cid)
             if seen[0].sign != seen[1].sign:
                 raise SignError("classical crossing %d has mismatched signs" % cid)
+            if seen[0].sign not in (1, -1):
+                raise SignError("classical crossing %d has sign %r, not +1 or -1"
+                                % (cid, seen[0].sign))
         for vid, count in virtual.items():
             if count != 2:
                 raise PairingError("virtual crossing %d occurs %d times" % (vid, count))

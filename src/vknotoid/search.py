@@ -1,20 +1,24 @@
 """Search for valid virtual brackets over prime fields.
 
 The pair equations (3)-(8) determine (C, D, U) from (A, B, V) at each pair,
-which collapses the search to the A/B/V side: per-element diagonal triples
-constrained by equations (1)-(2), then off-diagonal triples per ansatz, with
-the triple equations (9)-(23) checked incrementally as soon as all six pair
-slots they mention are assigned.  omega is derived from equation (1) at the
-first element and never searched.  The equations and the slot placement are
-the verifier's own (:func:`~vknotoid.bracket.pair_residuals`,
+which collapses the search to the A/B/V side.  Per delta, one list holds
+every (A, B, V) with its solution (C, D, U), and every candidate set is a
+filter of it: the diagonal slots take the entries satisfying (1)-(2) for
+the omega that (1) gives them, the off-diagonal slots every entry (full
+ansatz) or those with A = B = 0 (diagonal ansatz, so C = D = 0 and
+U = V^{-1} there, the shape of the known small examples).  The triple
+equations (9)-(23) are checked incrementally as soon as all six pair slots
+they mention are assigned.  omega is fixed by the first diagonal slot and
+never searched.  The equations and the slot placement are the verifier's
+own (:func:`~vknotoid.bracket.diagonal_residuals`,
+:func:`~vknotoid.bracket.pair_residuals`,
 :func:`~vknotoid.bracket.triple_slots`,
 :func:`~vknotoid.bracket.triple_residuals`), so the search and the final
-check cannot disagree on what a bracket is.
+check cannot disagree on what a bracket is.  Every candidate that completes
+is re-verified from scratch before being reported.
 
-The diagonal ansatz fixes off-diagonal A = B = 0 (so C = D = 0 and
-U = V^{-1} there), mirroring the shape of the known small examples; the full
-ansatz searches all off-diagonal triples.  Every candidate that completes is
-re-verified from scratch before being reported.
+A search makes at most ``budget`` assignments, and reports itself
+exhausted only when it needed more.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import random
 from dataclasses import dataclass
 
 from .biquandle import FiniteBiquandle
-from .bracket import (VirtualBracket, pair_residuals, triple_residuals,
-                      triple_slots, verify_bracket_axioms)
+from .bracket import (VirtualBracket, diagonal_residuals, pair_residuals,
+                      triple_residuals, triple_slots, verify_bracket_axioms)
 from .ring import Modulus
 
 
@@ -110,81 +114,60 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
 
     deltas = list(range(p))
     rng.shuffle(deltas)
-    values = list(range(p))
 
     found: list[VirtualBracket] = []
     nodes = 0
     exhausted = False
 
-    def diag_candidates(delta: int) -> list[tuple]:
-        """Diagonal (a, b, v) triples compatible with (1)-(2), plus derived
-        (c, d, u) and omega."""
-        out = []
-        for a, b, v in itertools.product(values, repeat=3):
-            w = (delta * a + b + v) % p
-            if math.gcd(w, p) != 1:
-                continue
-            cdu = solve_pair(a, b, v, delta, p)
-            if cdu is None:
-                continue
-            c, d, u = cdu
-            if (delta * c + d + u - pow(w, -1, p)) % p:
-                continue
-            out.append((a, b, v, c, d, u, w))
-        return out
-
-    def off_candidates(delta: int) -> list[tuple]:
-        out = []
-        if cfg.ansatz == "diagonal":
-            for v in range(1, p):
-                out.append((0, 0, v, 0, 0, pow(v, -1, p)))
-            return out
-        for a, b, v in itertools.product(values, repeat=3):
-            cdu = solve_pair(a, b, v, delta, p)
-            if cdu is not None:
-                out.append((a, b, v) + cdu)
-        return out
-
     for delta in deltas:
         if cfg.require_delta_unit and math.gcd(delta, p) != 1:
             continue
+        # every (a, b, v, c, d, u) that solves the pair equations; each
+        # candidate list below is a filter of this one, in its order
+        sols = [(a, b, v) + cdu
+                for a, b, v in itertools.product(range(p), repeat=3)
+                if (cdu := solve_pair(a, b, v, delta, p)) is not None]
+        off_cands = sols if cfg.ansatz == "full" \
+            else [sol for sol in sols if sol[0] == sol[1] == 0]
+        # diagonal candidates carry the omega that (1) gives them; the first
+        # diagonal slot takes them all and fixes omega, later ones keep only
+        # the candidates with that omega, in the same order
+        diag_cands: list[tuple] = []
+        by_omega: dict[int, list[tuple]] = {}
+        for sol in sols:
+            w = (delta * sol[0] + sol[1] + sol[2]) % p
+            if math.gcd(w, p) == 1 and not any(
+                    r % p for r in diagonal_residuals(delta, w, *sol)):
+                diag_cands.append(sol + (w,))
+                by_omega.setdefault(w, []).append(sol + (w,))
         # slot -> (a, b, v, c, d, u); entries left by deeper slots are
         # overwritten before any check reads them
         tabs: dict[tuple[int, int], tuple] = {}
-        off_cands = off_candidates(delta)
-        # the first diagonal slot fixes omega; later ones keep only the
-        # candidates with that omega, in the same order
-        diag_cands: dict[int | None, list[tuple]] = {None: diag_candidates(delta)}
-        for cand in diag_cands[None]:
-            diag_cands.setdefault(cand[6], []).append(cand)
 
         def place(slot_idx: int, omega: int | None) -> bool:
             """Returns False when the budget ran out."""
             nonlocal nodes, exhausted
-            if nodes >= cfg.budget:
-                exhausted = True
-                return False
             if slot_idx == len(slot_order):
                 br = _assemble(x, p, tabs, delta, omega)
                 if verify_bracket_axioms(br).passed:
                     found.append(br)
                 return True
             slot = slot_order[slot_idx]
-            if slot_idx < n:
-                cands = diag_cands[omega]
-            else:
+            if slot_idx >= n:
                 cands = off_cands
+            else:
+                cands = by_omega[omega] if slot_idx else diag_cands
             for cand in cands:
-                nodes += 1
-                if nodes > cfg.budget:
+                if nodes == cfg.budget:
                     exhausted = True
                     return False
+                nodes += 1
                 tabs[slot] = cand
                 ok = all(not any(r % p for r in triple_residuals(
                              delta, *[tabs[s][:3] for s in slots]))
                          for slots in checks_at.get(slot_idx, ()))
                 if ok and not place(slot_idx + 1,
-                                    cand[6] if len(cand) > 6 else omega):
+                                    cand[6] if slot_idx < n else omega):
                     return False
             return True
 

@@ -17,8 +17,8 @@ from vknotoid.biquandle import (FiniteBiquandle, alexander_biquandle,
                                 render_operation_matrix,
                                 verify_biquandle_axioms)
 from vknotoid.bracket import (bracket_matrix, bracket_multiset,
-                              bracket_polynomial, evaluate,
-                              evaluate_symbolic, fundamental_bracket,
+                              bracket_polynomial, diagonal_residuals,
+                              evaluate, evaluate_symbolic, fundamental_bracket,
                               verify_bracket_axioms)
 from vknotoid.coloring import (counting_invariant, counting_matrix,
                                enumerate_colorings, matrix_product)
@@ -97,9 +97,10 @@ def test_c03_coloring_anchors(corpus, z5_alexander, z3_coloring):
 
 def test_c04a_bracket_axioms_z5(z5_bracket):
     assert verify_bracket_axioms(z5_bracket).passed
-    assert (2 * 4 + 1 + 0) % 5 == 4 == z5_bracket.omega
-    assert (5 * 7 + 11) % 37 == 9
-    assert (5 * 16 + 27) % 37 == 33 and (9 * 33) % 37 == 1
+    # (1)-(2) at the diagonal of the z5 bracket and of the z37 data
+    assert [r % 5 for r in diagonal_residuals(2, 4, 4, 1, 0, 4, 1, 0)] == [0, 0]
+    assert [r % 37 for r in diagonal_residuals(5, 9, 7, 11, 0, 16, 27, 0)] \
+        == [0, 0]
     report("C4a z5 bracket passes all 23 families + identities: PASS")
 
 

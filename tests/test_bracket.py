@@ -7,11 +7,12 @@ import pytest
 
 from vknotoid.bracket import (ColoringMismatch, State, VirtualBracket,
                               bracket_matrix, bracket_multiset,
-                              bracket_polynomial, enumerate_states, evaluate,
+                              bracket_polynomial, diagonal_residuals,
+                              enumerate_states, evaluate,
                               evaluate_symbolic, fundamental_bracket,
                               parse_bracket, render_bracket, render_symbolic,
                               verify_bracket_axioms)
-from vknotoid.biquandle import FiniteBiquandle, verify_biquandle_axioms
+from vknotoid.biquandle import AxiomReport, FiniteBiquandle, verify_biquandle_axioms
 from vknotoid.coloring import enumerate_colorings
 from vknotoid.diagram import parse_diagram
 from vknotoid.ring import poly_render
@@ -24,16 +25,25 @@ def test_z5_bracket_passes_all_axioms(z5_bracket):
     assert report.passed, report.violations[:10]
 
 
+def diagonal_entries(br):
+    """The (A, B, V, C, D, U) coefficients at each diagonal pair."""
+    return {tuple(br.table(letter)[x][x] for letter in "ABVCDU")
+            for x in range(br.biquandle.n)}
+
+
 def test_z5_bracket_defining_identities(z5_bracket):
-    # equation (1): delta*A_xx + B_xx + V_xx = omega
-    assert (2 * 4 + 1 + 0) % 5 == z5_bracket.omega == 4
+    # equations (1)-(2) at the diagonal
+    assert (z5_bracket.delta, z5_bracket.omega) == (2, 4)
+    assert diagonal_entries(z5_bracket) == {(4, 1, 0, 4, 1, 0)}
+    assert [r % 5 for r in diagonal_residuals(2, 4, 4, 1, 0, 4, 1, 0)] == [0, 0]
 
 
 def test_z37_data_identities(z37_bracket):
     # the omega identities hold even though this table is not a valid bracket
-    assert (5 * 7 + 11) % 37 == z37_bracket.omega == 9
-    assert (5 * 16 + 27) % 37 == 33
-    assert 9 * 33 % 37 == 1
+    assert (z37_bracket.delta, z37_bracket.omega) == (5, 9)
+    assert diagonal_entries(z37_bracket) == {(7, 11, 0, 16, 27, 0)}
+    assert [r % 37 for r in diagonal_residuals(5, 9, 7, 11, 0, 16, 27, 0)] \
+        == [0, 0]
 
 
 def test_z37_data_fails_pair_equations(z37_bracket):
@@ -112,19 +122,22 @@ def biquandle_mutations(x, count, seed=0):
         yield FiniteBiquandle(*(tuple(map(tuple, t)) for t in tables))
 
 
-@pytest.mark.parametrize("first_only, count, digest", [
+@pytest.mark.parametrize("first_violation, count, digest", [
     (False, 8287, "ed1b1a918eadf9478de0bd8ee64b26fc14e7be6edb809af7aa490c77b0dd90c6"),
     (True, 357, "d42ee0c8059236ef0bb753813c8dbb21b0d05e7b9dbfbd89c3e8405dc6052f56"),
 ])
 def test_biquandle_violations_are_frozen(z3_coloring, z3_involution, z3_shift,
                                          z5_alexander, dihedral,
-                                         first_only, count, digest):
+                                         first_violation, count, digest):
     # every AxiomReport of the biquandle verifier, violations in report order,
     # over the bundled and dihedral tables and 60 mutations of each
-    reports = [verify_biquandle_axioms(t, first_only)
+    reports = [verify_biquandle_axioms(t)
                for x in (z3_coloring, z3_involution, z3_shift, z5_alexander,
                          *dihedral)
                for t in (x, *biquandle_mutations(x, 60))]
+    if first_violation:
+        # the first violation of each report, pinned as well
+        reports = [AxiomReport(r.passed, r.violations[:1]) for r in reports]
     assert len(reports) == 366
     assert sum(len(r.violations) for r in reports) == count
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest

@@ -166,6 +166,15 @@ def test_search_budget_exhausted(tmp_path):
     assert rc == 3
 
 
+def test_search_within_budget_exits_zero(tmp_path):
+    # this search takes exactly 1594 nodes, so that budget is enough
+    rc = run(["search", "--biquandle", BIQ / "z3_coloring.biq",
+              "--modulus", 3, "--ansatz", "full", "--budget", 1594,
+              "--out-dir", tmp_path])
+    assert rc == 0
+    assert len(list(tmp_path.glob("bracket_*.bvb"))) == 40
+
+
 def test_moves_insert(tmp_path, capsys):
     out = tmp_path / "moved.knd"
     rc = run(["moves", "insert", corpus_dir() / "2.1.1.knd",

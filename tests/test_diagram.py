@@ -1,6 +1,6 @@
 import pytest
 
-from vknotoid.diagram import (PairingError,
+from vknotoid.diagram import (KnotoidDiagram, Pass, PairingError,
                               PositionError, SignError, DiagramSyntaxError,
                               crossing_relations, insert_move, parse_diagram,
                               product, render_diagram, writhe)
@@ -145,6 +145,15 @@ def test_insert_move_position_errors():
         insert_move(d, "R2", 0)
     with pytest.raises(PositionError):
         insert_move(d, "R2", 0, 99)
+
+
+def test_classical_sign_must_be_plus_or_minus_one():
+    # the bracket tables exist only for signs +1 and -1, so any other sign
+    # is refused when the diagram is built
+    with pytest.raises(SignError):
+        KnotoidDiagram("", (Pass("O", 1, 0), Pass("U", 1, 0)))
+    with pytest.raises(SignError):
+        insert_move(parse_diagram(""), "R1", 0, sign=2)
 
 
 def test_fresh_ids_do_not_collide():

@@ -87,4 +87,21 @@ def test_budget_exhaustion_flag(z3_involution):
     result = search_brackets(z3_involution,
                              SearchConfig(modulus=5, budget=20))
     assert result.exhausted
-    assert result.nodes >= 20
+    assert result.nodes == 20
+
+
+@pytest.mark.parametrize("p, nodes", [(2, 3), (3, 10)])
+def test_budget_boundary(p, nodes):
+    # a budget of exactly the nodes a search needs completes it; one fewer
+    # stops it after that many assignments
+    x = FiniteBiquandle(((0,),), ((0,),))
+    full = search_brackets(x, SearchConfig(modulus=p, ansatz="full"))
+    assert (full.nodes, full.exhausted) == (nodes, False)
+    exact = search_brackets(x, SearchConfig(modulus=p, ansatz="full",
+                                            budget=nodes))
+    assert not exact.exhausted and exact.nodes == nodes
+    assert [_key(b) for b in exact.brackets] \
+        == [_key(b) for b in full.brackets]
+    short = search_brackets(x, SearchConfig(modulus=p, ansatz="full",
+                                            budget=nodes - 1))
+    assert short.exhausted and short.nodes == nodes - 1
