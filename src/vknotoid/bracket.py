@@ -43,9 +43,11 @@ plus the loops along the path, so the sweep is the only component counter.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
+from operator import itemgetter
 from typing import NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
@@ -222,37 +224,46 @@ _PAIR_FAMILIES = tuple(str(k) for k in range(3, 9))
 _TRIPLE_FAMILIES = tuple(str(k) for k in range(9, 24))
 
 
+@lru_cache(maxsize=8)
+def _triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple, itemgetter], ...]:
+    """Per element triple, in lexicographic order: its 1-based witness and
+    a getter of the six cells i * n + j of :func:`triple_slots` from a flat
+    n * n list.  Cached on the biquandle's value: its tables, not only its
+    size, decide the cells."""
+    n = x.n
+    return tuple(((a + 1, b + 1, c + 1),
+                  itemgetter(*[i * n + j for i, j in triple_slots(x, a, b, c)]))
+                 for a, b, c in itertools.product(range(n), repeat=3))
+
+
 def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     """Check equation families (1)-(23); failures are reported per family
     with a witness tuple of 1-based element indices."""
     x = br.biquandle
     n, m, d = x.n, br.modulus.m, br.delta
-    A, B, V, C, D, U = br.A, br.B, br.V, br.C, br.D, br.U
-    abv = [list(zip(*rows)) for rows in zip(A, B, V)]    # abv[i][j] = (A, B, V)
+    nonzero = m.__rmod__                                # r -> r % m
+    # cells[i * n + j] = (A, B, V, C, D, U) at the pair (i, j)
+    cells = [cell for rows in zip(br.A, br.B, br.V, br.C, br.D, br.U)
+             for cell in zip(*rows)]
+    abv = [cell[:3] for cell in cells]
     bad: list[tuple[str, tuple]] = []
 
     for a in range(n):
-        vals = diagonal_residuals(d, br.omega, *abv[a][a], C[a][a], D[a][a],
-                                  U[a][a])
-        for key, val in zip(("1", "2"), vals):
-            if val % m:
-                bad.append((key, (a + 1,)))
-    for a in range(n):
-        for b in range(n):
-            vals = pair_residuals(d, *abv[a][b], C[a][b], D[a][b], U[a][b])
-            for key, val in zip(_PAIR_FAMILIES, vals):
-                if val % m:
-                    bad.append((key, (a + 1, b + 1)))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                ab, bc, ac, p, q, r = triple_slots(x, a, b, c)
-                vals = triple_residuals(
-                    d, abv[ab[0]][ab[1]], abv[bc[0]][bc[1]], abv[ac[0]][ac[1]],
-                    abv[p[0]][p[1]], abv[q[0]][q[1]], abv[r[0]][r[1]])
-                for key, val in zip(_TRIPLE_FAMILIES, vals):
-                    if val % m:
-                        bad.append((key, (a + 1, b + 1, c + 1)))
+        vals = diagonal_residuals(d, br.omega, *cells[a * n + a])
+        if any(map(nonzero, vals)):
+            bad.extend((key, (a + 1,)) for key, val in zip(("1", "2"), vals)
+                       if val % m)
+    for k, cell in enumerate(cells):
+        vals = pair_residuals(d, *cell)
+        if any(map(nonzero, vals)):
+            a, b = divmod(k, n)
+            bad.extend((key, (a + 1, b + 1))
+                       for key, val in zip(_PAIR_FAMILIES, vals) if val % m)
+    for witness, slots in _triple_cells(x):
+        vals = triple_residuals(d, *slots(abv))
+        if any(map(nonzero, vals)):
+            bad.extend((key, witness)
+                       for key, val in zip(_TRIPLE_FAMILIES, vals) if val % m)
     return AxiomReport(not bad, tuple(bad))
 
 

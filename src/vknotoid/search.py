@@ -2,20 +2,25 @@
 
 The pair equations (3)-(8) determine (C, D, U) from (A, B, V) at each pair,
 which collapses the search to the A/B/V side.  Per delta, one list holds
-every (A, B, V) with its solution (C, D, U), and every candidate set is a
-filter of it: the diagonal slots take the entries satisfying (1)-(2) for
-the omega that (1) gives them, the off-diagonal slots every entry (full
-ansatz) or those with A = B = 0 (diagonal ansatz, so C = D = 0 and
-U = V^{-1} there, the shape of the known small examples).  The triple
-equations (9)-(23) are checked incrementally as soon as all six pair slots
-they mention are assigned.  omega is fixed by the first diagonal slot and
-never searched.  The equations and the slot placement are the verifier's
-own (:func:`~vknotoid.bracket.diagonal_residuals`,
+every (A, B, V) with its solution (C, D, U) (:func:`pair_solutions`, which
+tries O(p^2) triples), and every candidate set is a filter of it: the
+diagonal slots take the entries satisfying (1)-(2) for the omega that (1)
+gives them, the off-diagonal slots every entry (full ansatz) or those with
+A = B = 0 (diagonal ansatz, so C = D = 0 and U = V^{-1} there, the shape of
+the known small examples).  A candidate is its index in that list, and the
+assignment is one candidate id per slot.  The triple equations (9)-(23) are
+checked incrementally as soon as all six pair slots they mention are
+assigned.  With delta fixed, a check reads nothing but its six candidates,
+so its outcome is memoized per delta on their ids; the memo changes no
+node, no bracket and no order of the tree.  omega is fixed by the first
+diagonal slot and never searched.  The equations and the slot placement
+are the verifier's own (:func:`~vknotoid.bracket.diagonal_residuals`,
 :func:`~vknotoid.bracket.pair_residuals`,
 :func:`~vknotoid.bracket.triple_slots`,
 :func:`~vknotoid.bracket.triple_residuals`), so the search and the final
 check cannot disagree on what a bracket is.  Every candidate that completes
-is re-verified from scratch before being reported.
+is re-verified from scratch by :func:`~vknotoid.bracket.verify_bracket_axioms`,
+which shares no memo with the search, before being reported.
 
 A search makes at most ``budget`` assignments, and reports itself
 exhausted only when it needed more.
@@ -27,6 +32,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .biquandle import FiniteBiquandle
 from .bracket import (VirtualBracket, diagonal_residuals, pair_residuals,
@@ -90,6 +96,23 @@ def solve_pair(a: int, b: int, v: int, delta: int,
     return (c, d, u1)
 
 
+def pair_solutions(delta: int, p: int) -> list[tuple[int, ...]]:
+    """Every (a, b, v, c, d, u) over Z_p solving the pair equations (3)-(8),
+    in lexicographic (a, b, v) order.
+
+    :func:`solve_pair` needs the u of {a*c + v*u = 1, a*u + v*c = 0}, which
+    is -v / (a^2 - v^2), to equal the u of the (b, d) system.  For v = 0
+    both are 0; for v != 0 they agree only when a^2 = b^2, that is b = +-a
+    over a field.  So at most 3 p^2 triples are tried, not all p^3.
+    """
+    abv = [(a, b, 0) for a in range(p) for b in range(p)]
+    abv += [(a, b, v) for v in range(1, p) for a in range(p)
+            for b in {a, -a % p}]
+    abv.sort()
+    return [t + cdu for t in abv
+            if (cdu := solve_pair(*t, delta, p)) is not None]
+
+
 def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     """Enumerate brackets over Z_p matching the configured ansatz.
 
@@ -105,12 +128,13 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     slot_order = diag_slots + off_slots
     slot_rank = {s: k for k, s in enumerate(slot_order)}
     # a triple's equations become checkable once its highest-ranked slot is
-    # assigned
-    checks_at: dict[int, list[tuple]] = {}
+    # assigned; each check reads the candidate ids at its six slot ranks
+    checks_at: list[list[itemgetter]] = [[] for _ in slot_order]
     for triple in itertools.product(range(n), repeat=3):
-        slots = triple_slots(x, *triple)
-        checks_at.setdefault(max(map(slot_rank.__getitem__, slots)),
-                             []).append(slots)
+        ranks = [slot_rank[s] for s in triple_slots(x, *triple)]
+        checks_at[max(ranks)].append(itemgetter(*ranks))
+    grid = [[slot_rank[i, j] for j in range(n)] for i in range(n)]
+    modulus = Modulus(p)
 
     deltas = list(range(p))
     rng.shuffle(deltas)
@@ -122,66 +146,69 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     for delta in deltas:
         if cfg.require_delta_unit and math.gcd(delta, p) != 1:
             continue
-        # every (a, b, v, c, d, u) that solves the pair equations; each
-        # candidate list below is a filter of this one, in its order
-        sols = [(a, b, v) + cdu
-                for a, b, v in itertools.product(range(p), repeat=3)
-                if (cdu := solve_pair(a, b, v, delta, p)) is not None]
-        off_cands = sols if cfg.ansatz == "full" \
-            else [sol for sol in sols if sol[0] == sol[1] == 0]
+        # candidate id k stands for the pair solution sols[k]; each candidate
+        # list below is a filter of range(len(sols)), in its order
+        sols = pair_solutions(delta, p)
+        off_cands = range(len(sols)) if cfg.ansatz == "full" \
+            else [k for k, sol in enumerate(sols) if sol[0] == sol[1] == 0]
         # diagonal candidates carry the omega that (1) gives them; the first
         # diagonal slot takes them all and fixes omega, later ones keep only
         # the candidates with that omega, in the same order
-        diag_cands: list[tuple] = []
-        by_omega: dict[int, list[tuple]] = {}
-        for sol in sols:
-            w = (delta * sol[0] + sol[1] + sol[2]) % p
+        omegas = [(delta * sol[0] + sol[1] + sol[2]) % p for sol in sols]
+        diag_cands: list[int] = []
+        by_omega: dict[int, list[int]] = {}
+        for k, (sol, w) in enumerate(zip(sols, omegas)):
             if math.gcd(w, p) == 1 and not any(
                     r % p for r in diagonal_residuals(delta, w, *sol)):
-                diag_cands.append(sol + (w,))
-                by_omega.setdefault(w, []).append(sol + (w,))
-        # slot -> (a, b, v, c, d, u); entries left by deeper slots are
-        # overwritten before any check reads them
-        tabs: dict[tuple[int, int], tuple] = {}
+                diag_cands.append(k)
+                by_omega.setdefault(w, []).append(k)
+        # with delta fixed, a triple check reads only the (A, B, V) of its six
+        # candidates, so its outcome is memoized on their ids for this delta
+        abv = [sol[:3] for sol in sols]
+        memo: dict[tuple[int, ...], bool] = {}
+        # the candidate id at each slot rank; entries left by deeper slots
+        # are overwritten before any check reads them
+        assign = [0] * len(slot_order)
 
         def place(slot_idx: int, omega: int | None) -> bool:
             """Returns False when the budget ran out."""
             nonlocal nodes, exhausted
             if slot_idx == len(slot_order):
-                br = _assemble(x, p, tabs, delta, omega)
+                # rows[i] yields row i of each of the six tables in turn
+                rows = [zip(*[sols[assign[r]] for r in ranks])
+                        for ranks in grid]
+                br = VirtualBracket(x, modulus, *zip(*rows), delta, omega)
                 if verify_bracket_axioms(br).passed:
                     found.append(br)
                 return True
-            slot = slot_order[slot_idx]
             if slot_idx >= n:
                 cands = off_cands
             else:
                 cands = by_omega[omega] if slot_idx else diag_cands
+            checks = checks_at[slot_idx]
             for cand in cands:
                 if nodes == cfg.budget:
                     exhausted = True
                     return False
                 nodes += 1
-                tabs[slot] = cand
-                ok = all(not any(r % p for r in triple_residuals(
-                             delta, *[tabs[s][:3] for s in slots]))
-                         for slots in checks_at.get(slot_idx, ()))
-                if ok and not place(slot_idx + 1,
-                                    cand[6] if slot_idx < n else omega):
-                    return False
+                assign[slot_idx] = cand
+                for check in checks:
+                    key = check(assign)
+                    ok = memo.get(key)
+                    if ok is None:
+                        ok = memo[key] = not any(r % p for r in triple_residuals(
+                            delta, *[abv[k] for k in key]))
+                    if not ok:
+                        break
+                else:
+                    if not place(slot_idx + 1,
+                                 omegas[cand] if slot_idx < n else omega):
+                        return False
             return True
 
         if not place(0, None):
             break
     return SearchResult(found, exhausted, nodes)
-
-
-def _assemble(x: FiniteBiquandle, p: int, tabs: dict[tuple[int, int], tuple],
-              delta: int, omega: int) -> VirtualBracket:
-    n = x.n
-    tables = (tuple(tuple(tabs[i, j][k] for j in range(n)) for i in range(n))
-              for k in range(6))
-    return VirtualBracket(x, Modulus(p), *tables, delta, omega)
 
 
 def brute_force_singleton(p: int) -> list[VirtualBracket]:

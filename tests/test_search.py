@@ -1,9 +1,20 @@
+import hashlib
+import itertools
+import math
+import random
+from collections import Counter
+
 import pytest
 
-from vknotoid.biquandle import FiniteBiquandle
-from vknotoid.bracket import render_bracket, verify_bracket_axioms
-from vknotoid.search import (SearchConfig, brute_force_singleton, search_brackets,
-                             solve_pair)
+from vknotoid import search
+from vknotoid.biquandle import AxiomReport, FiniteBiquandle
+from vknotoid.bracket import (VirtualBracket, diagonal_residuals, render_bracket,
+                              triple_residuals, triple_slots,
+                              verify_bracket_axioms)
+from vknotoid.data import load_biquandle
+from vknotoid.ring import Modulus
+from vknotoid.search import (SearchConfig, SearchResult, brute_force_singleton,
+                             pair_solutions, search_brackets, solve_pair)
 
 
 def test_solve_pair_examples():
@@ -54,9 +65,24 @@ def test_singleton_full_search_matches_brute_force(p):
         assert verify_bracket_axioms(br).passed
 
 
-def test_diagonal_search_finds_reference_bracket(z3_involution, z5_bracket):
-    result = search_brackets(z3_involution,
-                             SearchConfig(modulus=5, ansatz="diagonal", seed=1))
+@pytest.fixture(scope="module")
+def reference_search(z3_involution):
+    """The reference search, run once for the tests that read it."""
+    return search_brackets(z3_involution,
+                           SearchConfig(modulus=5, ansatz="diagonal", seed=1))
+
+
+def test_reference_search_output_is_frozen(reference_search):
+    # every bracket in search order, pinned by digest
+    assert (reference_search.nodes, len(reference_search.brackets),
+            reference_search.exhausted) == (123_716, 19_456, False)
+    rendered = "".join(render_bracket(b) for b in reference_search.brackets)
+    assert hashlib.sha256(rendered.encode()).hexdigest() \
+        == "f3d43762dd9c8d80f52761c66ed21fd373550fe9a7b8c556a8f91298f15b2938"
+
+
+def test_diagonal_search_finds_reference_bracket(reference_search, z5_bracket):
+    result = reference_search
     assert not result.exhausted
     keys = {_key(b) for b in result.brackets}
     assert _key(z5_bracket) in keys
@@ -105,3 +131,163 @@ def test_budget_boundary(p, nodes):
     short = search_brackets(x, SearchConfig(modulus=p, ansatz="full",
                                             budget=nodes - 1))
     assert short.exhausted and short.nodes == nodes - 1
+
+
+def test_every_found_bracket_passed_the_final_verification(monkeypatch,
+                                                          z3_involution):
+    # the search's own checks cover every family, so only counting or vetoing
+    # the final verify_bracket_axioms calls shows that they are made
+    cfg = SearchConfig(3, "diagonal", seed=42)
+    verified = []
+
+    def counting(br):
+        report = verify_bracket_axioms(br)
+        verified.append((br, report.passed))
+        return report
+
+    monkeypatch.setattr(search, "verify_bracket_axioms", counting)
+    result = search_brackets(z3_involution, cfg)
+    assert len(result.brackets) == 288
+    assert len(verified) == 288
+    assert all(found is br and passed
+               for found, (br, passed) in zip(result.brackets, verified))
+    monkeypatch.setattr(search, "verify_bracket_axioms",
+                        lambda br: AxiomReport(False, ()))
+    assert search_brackets(z3_involution, cfg).brackets == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_pair_solutions_match_product_enumeration(p):
+    for delta in range(p):
+        want = [(a, b, v) + cdu
+                for a, b, v in itertools.product(range(p), repeat=3)
+                if (cdu := solve_pair(a, b, v, delta, p)) is not None]
+        assert pair_solutions(delta, p) == want
+
+
+def test_pair_solutions_take_quadratically_many_solves(monkeypatch,
+                                                       z3_involution):
+    # per delta, p^2 triples at v = 0 and at most 2p at each nonzero v
+    calls = []
+
+    def counting(a, b, v, delta, p):
+        calls.append((delta, v))
+        return solve_pair(a, b, v, delta, p)
+
+    monkeypatch.setattr(search, "solve_pair", counting)
+    for p, budget in ((3, 10 ** 6), (101, 5)):
+        calls.clear()
+        result = search_brackets(z3_involution,
+                                 SearchConfig(p, "diagonal", budget=budget))
+        per_delta = Counter(delta for delta, _ in calls)
+        assert len(per_delta) == (1 if result.exhausted else p)
+        for delta in per_delta:
+            per_v = Counter(v for d, v in calls if d == delta)
+            assert per_v[0] == p * p
+            assert all(per_v[v] <= 2 * p for v in range(1, p))
+            assert per_delta[delta] <= 3 * p * p
+
+
+# -- the un-memoized search as an oracle ----------------------------------------
+
+def unmemoized_search(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
+    """The search as it was before triple checks were memoized and the pair
+    solutions enumerated in O(p^2): every check evaluates its residuals,
+    and the assignment is a slot-keyed dict.  The tree, the brackets and
+    their order must be the same."""
+    p = cfg.modulus
+    n = x.n
+    rng = random.Random(cfg.seed)
+    diag_slots = [(i, i) for i in range(n)]
+    off_slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rng.shuffle(off_slots)
+    slot_order = diag_slots + off_slots
+    slot_rank = {s: k for k, s in enumerate(slot_order)}
+    checks_at: dict[int, list[tuple]] = {}
+    for triple in itertools.product(range(n), repeat=3):
+        slots = triple_slots(x, *triple)
+        checks_at.setdefault(max(map(slot_rank.__getitem__, slots)),
+                             []).append(slots)
+    deltas = list(range(p))
+    rng.shuffle(deltas)
+    found: list[VirtualBracket] = []
+    nodes = 0
+    exhausted = False
+
+    for delta in deltas:
+        if cfg.require_delta_unit and math.gcd(delta, p) != 1:
+            continue
+        sols = [(a, b, v) + cdu
+                for a, b, v in itertools.product(range(p), repeat=3)
+                if (cdu := solve_pair(a, b, v, delta, p)) is not None]
+        off_cands = sols if cfg.ansatz == "full" \
+            else [sol for sol in sols if sol[0] == sol[1] == 0]
+        diag_cands: list[tuple] = []
+        by_omega: dict[int, list[tuple]] = {}
+        for sol in sols:
+            w = (delta * sol[0] + sol[1] + sol[2]) % p
+            if math.gcd(w, p) == 1 and not any(
+                    r % p for r in diagonal_residuals(delta, w, *sol)):
+                diag_cands.append(sol + (w,))
+                by_omega.setdefault(w, []).append(sol + (w,))
+        tabs: dict[tuple[int, int], tuple] = {}
+
+        def place(slot_idx: int, omega: int | None) -> bool:
+            nonlocal nodes, exhausted
+            if slot_idx == len(slot_order):
+                tables = (tuple(tuple(tabs[i, j][k] for j in range(n))
+                                for i in range(n)) for k in range(6))
+                br = VirtualBracket(x, Modulus(p), *tables, delta, omega)
+                if verify_bracket_axioms(br).passed:
+                    found.append(br)
+                return True
+            slot = slot_order[slot_idx]
+            if slot_idx >= n:
+                cands = off_cands
+            else:
+                cands = by_omega[omega] if slot_idx else diag_cands
+            for cand in cands:
+                if nodes == cfg.budget:
+                    exhausted = True
+                    return False
+                nodes += 1
+                tabs[slot] = cand
+                ok = all(not any(r % p for r in triple_residuals(
+                             delta, *[tabs[s][:3] for s in slots]))
+                         for slots in checks_at.get(slot_idx, ()))
+                if ok and not place(slot_idx + 1,
+                                    cand[6] if slot_idx < n else omega):
+                    return False
+            return True
+
+        if not place(0, None):
+            break
+    return SearchResult(found, exhausted, nodes)
+
+
+ORACLE_CONFIGS = (
+    [("z3_involution", SearchConfig(p, "diagonal", seed=seed))
+     for p in (2, 3) for seed in range(6)]
+    + [("z3_involution", SearchConfig(3, "full", seed=seed)) for seed in (0, 2)]
+    + [("z3_coloring", SearchConfig(3, "full", require_delta_unit=unit))
+       for unit in (False, True)]
+    + [("singleton", SearchConfig(p, "full", seed=seed))
+       for p in (2, 3, 5, 7) for seed in range(3)]
+    + [("z3_involution", SearchConfig(5, "diagonal", seed=1, budget=budget))
+       for budget in (1, 7, 20, 500)])
+
+
+@pytest.mark.parametrize(
+    "name, cfg", ORACLE_CONFIGS,
+    ids=["%s-p%d-%s-seed%d-budget%d%s" % (name, c.modulus, c.ansatz, c.seed,
+                                          c.budget,
+                                          "-unit" if c.require_delta_unit else "")
+         for name, c in ORACLE_CONFIGS])
+def test_search_matches_unmemoized_oracle(name, cfg):
+    x = FiniteBiquandle(((0,),), ((0,),)) if name == "singleton" \
+        else load_biquandle(name)
+    got = search_brackets(x, cfg)
+    want = unmemoized_search(x, cfg)
+    assert (got.nodes, got.exhausted) == (want.nodes, want.exhausted)
+    assert [render_bracket(b) for b in got.brackets] \
+        == [render_bracket(b) for b in want.brackets]
