@@ -23,7 +23,12 @@ pair families from the two R2 variants).  Each family is written once:
 :func:`diagonal_residuals` holds (1)-(2), :func:`pair_residuals` (3)-(8),
 :func:`triple_slots` the index placement of (9)-(23) forced by invariance,
 and :func:`triple_residuals` their terms; the verifier and the search both
-read these.
+read these.  Whether one pair or triple instance holds is a pure function of
+m, delta and the coefficients it reads, so :func:`verify_bracket_axioms`
+memoizes that clean/dirty verdict on exactly those values (the bounded
+caches :func:`_pair_clean` and :func:`_triple_clean`): a bracket gets the
+same report whatever was checked before it, and only a dirty instance is
+evaluated again to name its failing families.
 
 Evaluation is compiled once per diagram into a frontier sweep (see
 :func:`_plan`): the crossings are swept one at a time, and a state records
@@ -236,9 +241,35 @@ def _triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple, itemgetter], ...]:
                  for a, b, c in itertools.product(range(n), repeat=3))
 
 
+# Each memo holds 8192 verdicts: the 19,456 brackets of the reference search
+# have 4,432 distinct triple instances.
+_MEMO_SIZE = 1 << 13
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pair_clean(m: int, delta: int, cell: tuple[int, ...]) -> bool:
+    """Whether (3)-(8) hold mod m for the coefficients (A, B, V, C, D, U)
+    at one pair."""
+    return not any(r % m for r in pair_residuals(delta, *cell))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _triple_clean(m: int, delta: int, codes: tuple[int, ...]) -> bool:
+    """Whether (9)-(23) hold mod m at one element triple, for its six
+    (A, B, V) cells each packed as (A * m + B) * m + V with A, B, V in
+    range(m)."""
+    return not any(r % m for r in triple_residuals(
+        delta, *[(c // m // m, c // m % m, c % m) for c in codes]))
+
+
 def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     """Check equation families (1)-(23); failures are reported per family
-    with a witness tuple of 1-based element indices."""
+    with a witness tuple of 1-based element indices.
+
+    Each pair and triple instance is first looked up in a bounded memo of
+    clean/dirty verdicts keyed on (m, delta, the coefficients it reads);
+    only a dirty one is evaluated again to list its failing families, so
+    the report is the same as without the memo."""
     x = br.biquandle
     n, m, d = x.n, br.modulus.m, br.delta
     nonzero = m.__rmod__                                # r -> r % m
@@ -254,14 +285,17 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
             bad.extend((key, (a + 1,)) for key, val in zip(("1", "2"), vals)
                        if val % m)
     for k, cell in enumerate(cells):
-        vals = pair_residuals(d, *cell)
-        if any(map(nonzero, vals)):
+        if not _pair_clean(m, d, cell):
             a, b = divmod(k, n)
-            bad.extend((key, (a + 1, b + 1))
-                       for key, val in zip(_PAIR_FAMILIES, vals) if val % m)
+            bad.extend((key, (a + 1, b + 1)) for key, val in
+                       zip(_PAIR_FAMILIES, pair_residuals(d, *cell)) if val % m)
+    # the residuals mod m read the coefficients only mod m, so packing the
+    # reduced (A, B, V) of a cell into one int keeps everything the verdict
+    # reads, and a memo key is six small ints
+    codes = [(a % m * m + b % m) * m + v % m for a, b, v in abv]
     for witness, slots in _triple_cells(x):
-        vals = triple_residuals(d, *slots(abv))
-        if any(map(nonzero, vals)):
+        if not _triple_clean(m, d, slots(codes)):
+            vals = triple_residuals(d, *slots(abv))
             bad.extend((key, witness)
                        for key, val in zip(_TRIPLE_FAMILIES, vals) if val % m)
     return AxiomReport(not bad, tuple(bad))

@@ -306,10 +306,13 @@ def cmd_search(args) -> int:
         except OSError as exc:
             raise CliExit("cannot write %s: %s" % (outdir, exc))
     result = search_brackets(x, cfg)
+    # indices padded to the width of the last one, so that the names sort in
+    # solution order
+    width = max(3, len(str(len(result.brackets) - 1)))
     for k, br in enumerate(result.brackets):
         text = render_bracket(br)
         if outdir:
-            _write(outdir / ("bracket_%03d.bvb" % k), text)
+            _write(outdir / ("bracket_%0*d.bvb" % (width, k)), text)
         print("solution %d: p=%d delta=%d omega=%d ansatz=%s"
               % (k, cfg.modulus, br.delta, br.omega, cfg.ansatz))
         if not outdir:

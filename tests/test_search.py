@@ -1,12 +1,15 @@
+import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
-from vknotoid import search
+from vknotoid import bracket, search
 from vknotoid.biquandle import AxiomReport, FiniteBiquandle
 from vknotoid.bracket import (VirtualBracket, diagonal_residuals, render_bracket,
                               triple_residuals, triple_slots,
@@ -99,6 +102,20 @@ def test_search_is_deterministic(z3_involution):
     assert r1.nodes == r2.nodes
 
 
+def test_dropping_the_result_frees_the_brackets(z3_involution):
+    # the search leaves no reference cycle holding its brackets, so they go
+    # with the result instead of at the next full collection
+    gc.disable()
+    try:
+        result = search_brackets(z3_involution,
+                                 SearchConfig(3, "diagonal", seed=42))
+        first = weakref.ref(result.brackets[0])
+        del result
+        assert first() is None
+    finally:
+        gc.enable()
+
+
 def test_search_node_counts_are_frozen(z3_involution):
     # a diagonal slot after the first may only take candidates with the
     # omega the first one fixed; offering more finds the same brackets
@@ -154,6 +171,34 @@ def test_every_found_bracket_passed_the_final_verification(monkeypatch,
     monkeypatch.setattr(search, "verify_bracket_axioms",
                         lambda br: AxiomReport(False, ()))
     assert search_brackets(z3_involution, cfg).brackets == []
+
+
+def test_reverification_evaluates_each_distinct_triple_once(monkeypatch,
+                                                           reference_search):
+    # re-verifying the reference brackets reads 19,456 * 27 = 525,312 triple
+    # instances; the verifier's memo evaluates each distinct
+    # (m, delta, six (A, B, V) cells) once
+    brackets = reference_search.brackets
+    x, m = brackets[0].biquandle, brackets[0].modulus.m
+    n = x.n
+    slots = [itemgetter(*[i * n + j for i, j in triple_slots(x, *t)])
+             for t in itertools.product(range(n), repeat=3)]
+    distinct = set()
+    for br in brackets:
+        abv = [cell for rows in zip(br.A, br.B, br.V) for cell in zip(*rows)]
+        distinct.update((br.modulus.m, br.delta, get(abv)) for get in slots)
+    assert len(distinct) == 4432
+    calls = Counter()
+
+    def counting(delta, *cells):
+        calls[m, delta, cells] += 1
+        return triple_residuals(delta, *cells)
+
+    monkeypatch.setattr(bracket, "triple_residuals", counting)
+    bracket._triple_clean.cache_clear()
+    assert all(verify_bracket_axioms(br).passed for br in brackets)
+    assert set(calls) == distinct
+    assert max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
