@@ -26,6 +26,13 @@ shares nothing with the search's id-keyed memo and re-evaluates an instance
 only when those values are new: the reference search's 19,456 brackets
 read 525,312 triple instances, of which 4,432 are distinct.
 
+Found brackets share their immutable rows and tables.  Per delta, each
+distinct coefficient row is built once, keyed on the candidate ids of its
+n slots, and every distinct row or table value is one tuple for the whole
+call, so a result grows with its distinct values, not with its solutions:
+the reference search's 19,456 brackets hold 116,736 tables and 350,208
+rows, of which 3,345 and 125 are distinct.
+
 A search makes at most ``budget`` assignments, and reports itself
 exhausted only when it needed more.
 """
@@ -107,14 +114,13 @@ def pair_solutions(delta: int, p: int) -> list[tuple[int, ...]]:
     :func:`solve_pair` needs the u of {a*c + v*u = 1, a*u + v*c = 0}, which
     is -v / (a^2 - v^2), to equal the u of the (b, d) system.  For v = 0
     both are 0; for v != 0 they agree only when a^2 = b^2, that is b = +-a
-    over a field.  So at most 3 p^2 triples are tried, not all p^3.
+    over a field.  So at most 3 p^2 triples are tried, not all p^3, and
+    they are walked in order, with no list of them kept.
     """
-    abv = [(a, b, 0) for a in range(p) for b in range(p)]
-    abv += [(a, b, v) for v in range(1, p) for a in range(p)
-            for b in {a, -a % p}]
-    abv.sort()
-    return [t + cdu for t in abv
-            if (cdu := solve_pair(*t, delta, p)) is not None]
+    return [(a, b, v) + cdu
+            for a in range(p) for b in range(p)
+            for v in (range(p) if b in (a, -a % p) else (0,))
+            if (cdu := solve_pair(a, b, v, delta, p)) is not None]
 
 
 def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
@@ -139,6 +145,9 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         checks_at[max(ranks)].append(itemgetter(*ranks))
     grid = [[slot_rank[i, j] for j in range(n)] for i in range(n)]
     modulus = Modulus(p)
+    # found brackets share their rows and tables: each distinct row or table
+    # value is one tuple, interned here for this call only
+    shared: dict[tuple, tuple] = {}
 
     deltas = list(range(p))
     rng.shuffle(deltas)
@@ -170,6 +179,9 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         # candidates, so its outcome is memoized on their ids for this delta
         abv = [sol[:3] for sol in sols]
         memo: dict[tuple[int, ...], bool] = {}
+        # the six coefficient rows that the candidate ids of a row's n slots
+        # give, built once per delta
+        rows: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         # the candidate id at each slot rank; entries left by deeper slots
         # are overwritten before any check reads them
         assign = [0] * len(slot_order)
@@ -178,10 +190,19 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
             """Returns False when the budget ran out."""
             nonlocal nodes, exhausted
             if slot_idx == len(slot_order):
-                # rows[i] yields row i of each of the six tables in turn
-                rows = [zip(*[sols[assign[r]] for r in ranks])
-                        for ranks in grid]
-                br = VirtualBracket(x, modulus, *zip(*rows), delta, omega)
+                # six_rows[i] holds row i of each of the six tables in turn
+                six_rows = []
+                for ranks in grid:
+                    ids = tuple([assign[r] for r in ranks])
+                    six = rows.get(ids)
+                    if six is None:
+                        six = rows[ids] = tuple(
+                            shared.setdefault(row, row)
+                            for row in zip(*[sols[k] for k in ids]))
+                    six_rows.append(six)
+                br = VirtualBracket(x, modulus,
+                                    *[shared.setdefault(t, t)
+                                      for t in zip(*six_rows)], delta, omega)
                 if verify_bracket_axioms(br).passed:
                     found.append(br)
                 return True

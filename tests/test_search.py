@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from operator import itemgetter
@@ -114,6 +115,49 @@ def test_dropping_the_result_frees_the_brackets(z3_involution):
         assert first() is None
     finally:
         gc.enable()
+
+
+def _traced_after_collection() -> int:
+    # a full collection empties the free lists, which would otherwise keep
+    # freed tuples counted as traced
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def test_the_interned_rows_and_tables_go_with_the_result(z3_involution,
+                                                         z5_bracket):
+    # the dicts that intern rows and tables live for one search call: once
+    # the result is dropped and the verifier's memos cleared, traced memory
+    # is back at its level before the search
+    verify_bracket_axioms(z5_bracket)       # caches the biquandle's slot table
+    memos = (bracket._pair_clean, bracket._triple_clean)
+    tracemalloc.start()
+    try:
+        for memo in memos:
+            memo.cache_clear()
+        before = _traced_after_collection()
+        result = search_brackets(z3_involution,
+                                 SearchConfig(3, "full", seed=2))
+        held = _traced_after_collection() - before
+        del result
+        for memo in memos:
+            memo.cache_clear()
+        left = _traced_after_collection() - before
+    finally:
+        tracemalloc.stop()
+    assert held > 100_000
+    assert left < 1_000
+
+
+def test_found_brackets_share_equal_rows_and_tables(reference_search):
+    # 19,456 brackets hold 116,736 tables and 350,208 rows, but only 3,345
+    # distinct tables and 125 distinct rows; each value is one object
+    tables = [t for br in reference_search.brackets
+              for t in (br.A, br.B, br.V, br.C, br.D, br.U)]
+    rows = [row for t in tables for row in t]
+    for items, values in ((tables, 3345), (rows, 125)):
+        assert len(set(items)) == values
+        assert len({id(item) for item in items}) == values
 
 
 def test_search_node_counts_are_frozen(z3_involution):
@@ -231,6 +275,19 @@ def test_pair_solutions_take_quadratically_many_solves(monkeypatch,
             assert per_v[0] == p * p
             assert all(per_v[v] <= 2 * p for v in range(1, p))
             assert per_delta[delta] <= 3 * p * p
+
+
+def test_pair_solutions_keep_no_list_of_triples():
+    # the 3 p^2 tried triples (about 0.5 MB at p = 53) are walked, not
+    # stored; at delta = 1 only 52 of them solve the pair equations
+    tracemalloc.start()
+    try:
+        sols = pair_solutions(1, 53)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sols) == 52
+    assert peak - kept < 16_000
 
 
 # -- the un-memoized search as an oracle ----------------------------------------
