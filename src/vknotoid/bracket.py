@@ -23,12 +23,14 @@ pair families from the two R2 variants).  Each family is written once:
 :func:`diagonal_residuals` holds (1)-(2), :func:`pair_residuals` (3)-(8),
 :func:`triple_slots` the index placement of (9)-(23) forced by invariance,
 and :func:`triple_residuals` their terms; the verifier and the search both
-read these.  Whether one pair or triple instance holds is a pure function of
-m, delta and the coefficients it reads, so :func:`verify_bracket_axioms`
-memoizes that clean/dirty verdict on exactly those values (the bounded
-caches :func:`_pair_clean` and :func:`_triple_clean`): a bracket gets the
-same report whatever was checked before it, and only a dirty instance is
-evaluated again to name its failing families.
+read these, and :func:`triple_cells` turns the placement into flat cell
+indices once per biquandle for both.  Which families fail at one pair or
+triple instance is a pure function of m, delta and the coefficients it
+reads, so :func:`verify_bracket_axioms` memoizes the tuple of failing
+family names on exactly those values (the bounded caches
+:func:`_pair_failures` and :func:`_triple_failures`): a bracket gets the
+same report whatever was checked before it, and an instance, clean or
+dirty, is evaluated once while its entry is held.
 
 Evaluation is compiled once per diagram into a frontier sweep (see
 :func:`_plan`): the crossings are swept one at a time, and a state records
@@ -230,53 +232,60 @@ _TRIPLE_FAMILIES = tuple(str(k) for k in range(9, 24))
 
 
 @lru_cache(maxsize=8)
-def _triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple, itemgetter], ...]:
-    """Per element triple, in lexicographic order: its 1-based witness and
-    a getter of the six cells i * n + j of :func:`triple_slots` from a flat
-    n * n list.  Cached on the biquandle's value: its tables, not only its
-    size, decide the cells."""
+def triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...],
+                                                   tuple[int, ...],
+                                                   itemgetter], ...]:
+    """Per element triple, in lexicographic order: its 1-based witness, the
+    six cells i * n + j of :func:`triple_slots` in a flat n * n list, and a
+    getter of those cells.  Cached on the biquandle's value: its tables, not
+    only its size, decide the cells."""
     n = x.n
-    return tuple(((a + 1, b + 1, c + 1),
-                  itemgetter(*[i * n + j for i, j in triple_slots(x, a, b, c)]))
-                 for a, b, c in itertools.product(range(n), repeat=3))
+    table = []
+    for a, b, c in itertools.product(range(n), repeat=3):
+        cells = tuple([i * n + j for i, j in triple_slots(x, a, b, c)])
+        table.append(((a + 1, b + 1, c + 1), cells, itemgetter(*cells)))
+    return tuple(table)
 
 
-# Each memo holds 8192 verdicts: the 19,456 brackets of the reference search
+# Each memo holds 8192 instances: the 19,456 brackets of the reference search
 # have 4,432 distinct triple instances.
 _MEMO_SIZE = 1 << 13
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _pair_clean(m: int, delta: int, cell: tuple[int, ...]) -> bool:
-    """Whether (3)-(8) hold mod m for the coefficients (A, B, V, C, D, U)
-    at one pair."""
-    return not any(r % m for r in pair_residuals(delta, *cell))
+def _pair_failures(m: int, delta: int,
+                   cell: tuple[int, ...]) -> tuple[str, ...]:
+    """The families of (3)-(8) that fail mod m for the coefficients
+    (A, B, V, C, D, U) at one pair."""
+    vals = pair_residuals(delta, *cell)
+    return tuple([key for key, val in zip(_PAIR_FAMILIES, vals) if val % m])
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _triple_clean(m: int, delta: int, codes: tuple[int, ...]) -> bool:
-    """Whether (9)-(23) hold mod m at one element triple, for its six
-    (A, B, V) cells each packed as (A * m + B) * m + V with A, B, V in
-    range(m)."""
-    return not any(r % m for r in triple_residuals(
-        delta, *[(c // m // m, c // m % m, c % m) for c in codes]))
+def _triple_failures(m: int, delta: int,
+                     codes: tuple[int, ...]) -> tuple[str, ...]:
+    """The families of (9)-(23) that fail mod m at one element triple, for
+    its six (A, B, V) cells each packed as (A * m + B) * m + V with A, B, V
+    in range(m)."""
+    vals = triple_residuals(
+        delta, *[(c // m // m, c // m % m, c % m) for c in codes])
+    return tuple([key for key, val in zip(_TRIPLE_FAMILIES, vals) if val % m])
 
 
 def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     """Check equation families (1)-(23); failures are reported per family
     with a witness tuple of 1-based element indices.
 
-    Each pair and triple instance is first looked up in a bounded memo of
-    clean/dirty verdicts keyed on (m, delta, the coefficients it reads);
-    only a dirty one is evaluated again to list its failing families, so
-    the report is the same as without the memo."""
+    The failing families of each pair and triple instance are looked up in
+    a bounded memo keyed on (m, delta, the coefficients it reads), so an
+    instance is evaluated at most once while its entry is held, and the
+    report is the same as without the memo."""
     x = br.biquandle
     n, m, d = x.n, br.modulus.m, br.delta
     nonzero = m.__rmod__                                # r -> r % m
     # cells[i * n + j] = (A, B, V, C, D, U) at the pair (i, j)
     cells = [cell for rows in zip(br.A, br.B, br.V, br.C, br.D, br.U)
              for cell in zip(*rows)]
-    abv = [cell[:3] for cell in cells]
     bad: list[tuple[str, tuple]] = []
 
     for a in range(n):
@@ -285,19 +294,18 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
             bad.extend((key, (a + 1,)) for key, val in zip(("1", "2"), vals)
                        if val % m)
     for k, cell in enumerate(cells):
-        if not _pair_clean(m, d, cell):
+        failed = _pair_failures(m, d, cell)
+        if failed:
             a, b = divmod(k, n)
-            bad.extend((key, (a + 1, b + 1)) for key, val in
-                       zip(_PAIR_FAMILIES, pair_residuals(d, *cell)) if val % m)
+            bad.extend([(key, (a + 1, b + 1)) for key in failed])
     # the residuals mod m read the coefficients only mod m, so packing the
-    # reduced (A, B, V) of a cell into one int keeps everything the verdict
-    # reads, and a memo key is six small ints
-    codes = [(a % m * m + b % m) * m + v % m for a, b, v in abv]
-    for witness, slots in _triple_cells(x):
-        if not _triple_clean(m, d, slots(codes)):
-            vals = triple_residuals(d, *slots(abv))
-            bad.extend((key, witness)
-                       for key, val in zip(_TRIPLE_FAMILIES, vals) if val % m)
+    # reduced (A, B, V) of a cell into one int keeps everything the families
+    # read, and a memo key is six small ints
+    codes = [(a % m * m + b % m) * m + v % m for a, b, v, _, _, _ in cells]
+    for witness, _, get in triple_cells(x):
+        failed = _triple_failures(m, d, get(codes))
+        if failed:
+            bad.extend([(key, witness) for key in failed])
     return AxiomReport(not bad, tuple(bad))
 
 

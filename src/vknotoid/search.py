@@ -4,37 +4,39 @@ The pair equations (3)-(8) determine (C, D, U) from (A, B, V) at each pair,
 which collapses the search to the A/B/V side.  Per delta, one list holds
 every (A, B, V) with its solution (C, D, U) (:func:`pair_solutions`, which
 tries O(p^2) triples), and every candidate set is a filter of it: the
-diagonal slots take the entries satisfying (1)-(2) for the omega that (1)
-gives them, the off-diagonal slots every entry (full ansatz) or those with
+diagonal cells take the entries satisfying (1)-(2) for the omega that (1)
+gives them, the off-diagonal cells every entry (full ansatz) or those with
 A = B = 0 (diagonal ansatz, so C = D = 0 and U = V^{-1} there, the shape of
-the known small examples).  A candidate is its index in that list, and the
-assignment is one candidate id per slot.  The triple equations (9)-(23) are
-checked incrementally as soon as all six pair slots they mention are
-assigned.  With delta fixed, a check reads nothing but its six candidates,
-so its outcome is memoized per delta on their ids; the memo changes no
-node, no bracket and no order of the tree.  omega is fixed by the first
-diagonal slot and never searched.  The equations and the slot placement
-are the verifier's own (:func:`~vknotoid.bracket.diagonal_residuals`,
-:func:`~vknotoid.bracket.pair_residuals`,
-:func:`~vknotoid.bracket.triple_slots`,
-:func:`~vknotoid.bracket.triple_residuals`), so the search and the final
-check cannot disagree on what a bracket is.  Every candidate that completes
-is passed to a fresh :func:`~vknotoid.bracket.verify_bracket_axioms` call
-before being reported.  That verifier keeps its own memo, of per-instance
-verdicts keyed on m, delta and the coefficients each instance reads, so it
-shares nothing with the search's id-keyed memo and re-evaluates an instance
-only when those values are new: the reference search's 19,456 brackets
-read 525,312 triple instances, of which 4,432 are distinct.
+the known small examples).  A candidate is its index in that list.
+
+The assignment holds one candidate id per cell i * n + j.  One loop assigns
+the diagonal cells, then the off-diagonal ones in a seeded order, keeping
+per depth an iterator over the candidates left on an explicit stack, so no
+recursion limit bounds n.  omega is read off the candidate at cell 0 and
+never searched.  A triple's equations (9)-(23) are checked once its six
+cells are assigned.  Those cells and their getter come from the verifier's
+table (:func:`~vknotoid.bracket.triple_cells`) and the equations are the
+verifier's own too, so the search and the final check cannot disagree on
+what a bracket is.  With delta fixed, a check reads nothing but its six
+candidates, so its outcome is memoized per delta on their ids; the memo
+changes no node, no bracket and no order of the tree.  Every candidate that
+completes is passed to a fresh :func:`~vknotoid.bracket.verify_bracket_axioms`
+call before being reported.  That verifier memoizes the failing families of
+each instance on m, delta and the coefficients it reads, so it shares
+nothing with the search's memo: the reference search's 19,456 brackets read
+525,312 triple instances, of which 4,432 are distinct.
 
 Found brackets share their immutable rows and tables.  Per delta, each
 distinct coefficient row is built once, keyed on the candidate ids of its
-n slots, and every distinct row or table value is one tuple for the whole
+n cells, and every distinct row or table value is one tuple for the whole
 call, so a result grows with its distinct values, not with its solutions:
 the reference search's 19,456 brackets hold 116,736 tables and 350,208
 rows, of which 3,345 and 125 are distinct.
 
 A search makes at most ``budget`` assignments, and reports itself
-exhausted only when it needed more.
+exhausted only when it needed more.  The budget counts assignments only:
+the O(p^2) pair solutions of each delta are computed before its first
+node, so no budget bounds that work.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from operator import itemgetter
 
 from .biquandle import FiniteBiquandle
 from .bracket import (VirtualBracket, diagonal_residuals, pair_residuals,
-                      triple_residuals, triple_slots, verify_bracket_axioms)
+                      triple_cells, triple_residuals, verify_bracket_axioms)
 from .ring import Modulus
 
 
@@ -132,18 +134,18 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     p = cfg.modulus
     n = x.n
     rng = random.Random(cfg.seed)
-    diag_slots = [(i, i) for i in range(n)]
-    off_slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    rng.shuffle(off_slots)
-    slot_order = diag_slots + off_slots
-    slot_rank = {s: k for k, s in enumerate(slot_order)}
-    # a triple's equations become checkable once its highest-ranked slot is
-    # assigned; each check reads the candidate ids at its six slot ranks
-    checks_at: list[list[itemgetter]] = [[] for _ in slot_order]
-    for triple in itertools.product(range(n), repeat=3):
-        ranks = [slot_rank[s] for s in triple_slots(x, *triple)]
-        checks_at[max(ranks)].append(itemgetter(*ranks))
-    grid = [[slot_rank[i, j] for j in range(n)] for i in range(n)]
+    # cell i * n + j holds the pair (i, j); the diagonal cells are assigned
+    # first, then the off-diagonal ones in a seeded order
+    off_cells = [i * n + j for i in range(n) for j in range(n) if i != j]
+    rng.shuffle(off_cells)
+    order = [i * n + i for i in range(n)] + off_cells
+    depth_of = {cell: depth for depth, cell in enumerate(order)}
+    # a triple's equations become checkable once its deepest cell is
+    # assigned; each check reads the candidate ids at its six cells
+    checks_at: list[list[itemgetter]] = [[] for _ in order]
+    for _, cells, get in triple_cells(x):
+        checks_at[max(map(depth_of.__getitem__, cells))].append(get)
+    last = len(order)
     modulus = Modulus(p)
     # found brackets share their rows and tables: each distinct row or table
     # value is one tuple, interned here for this call only
@@ -154,7 +156,6 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
 
     found: list[VirtualBracket] = []
     nodes = 0
-    exhausted = False
 
     for delta in deltas:
         if cfg.require_delta_unit and math.gcd(delta, p) != 1:
@@ -164,8 +165,8 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         sols = pair_solutions(delta, p)
         off_cands = range(len(sols)) if cfg.ansatz == "full" \
             else [k for k, sol in enumerate(sols) if sol[0] == sol[1] == 0]
-        # diagonal candidates carry the omega that (1) gives them; the first
-        # diagonal slot takes them all and fixes omega, later ones keep only
+        # diagonal candidates carry the omega that (1) gives them; cell 0
+        # takes them all and fixes omega, the later diagonal cells keep only
         # the candidates with that omega, in the same order
         omegas = [(delta * sol[0] + sol[1] + sol[2]) % p for sol in sols]
         diag_cands: list[int] = []
@@ -177,67 +178,57 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                 by_omega.setdefault(w, []).append(k)
         # with delta fixed, a triple check reads only the (A, B, V) of its six
         # candidates, so its outcome is memoized on their ids for this delta
-        abv = [sol[:3] for sol in sols]
         memo: dict[tuple[int, ...], bool] = {}
-        # the six coefficient rows that the candidate ids of a row's n slots
+        # the six coefficient rows that the candidate ids of a row's n cells
         # give, built once per delta
         rows: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        # the candidate id at each slot rank; entries left by deeper slots
-        # are overwritten before any check reads them
-        assign = [0] * len(slot_order)
-
-        def place(slot_idx: int, omega: int | None) -> bool:
-            """Returns False when the budget ran out."""
-            nonlocal nodes, exhausted
-            if slot_idx == len(slot_order):
-                # six_rows[i] holds row i of each of the six tables in turn
-                six_rows = []
-                for ranks in grid:
-                    ids = tuple([assign[r] for r in ranks])
-                    six = rows.get(ids)
-                    if six is None:
-                        six = rows[ids] = tuple(
-                            shared.setdefault(row, row)
-                            for row in zip(*[sols[k] for k in ids]))
-                    six_rows.append(six)
-                br = VirtualBracket(x, modulus,
-                                    *[shared.setdefault(t, t)
-                                      for t in zip(*six_rows)], delta, omega)
-                if verify_bracket_axioms(br).passed:
-                    found.append(br)
-                return True
-            if slot_idx >= n:
-                cands = off_cands
-            else:
-                cands = by_omega[omega] if slot_idx else diag_cands
-            checks = checks_at[slot_idx]
-            for cand in cands:
+        # the candidate id at each cell; cells deeper than the current depth
+        # hold stale ids that no check reads
+        assign = [0] * last
+        # stack[depth] iterates the candidates still to try at order[depth]
+        stack = [iter(diag_cands)]
+        while stack:
+            depth = len(stack) - 1
+            cell = order[depth]
+            checks = checks_at[depth]
+            for cand in stack[-1]:
                 if nodes == cfg.budget:
-                    exhausted = True
-                    return False
+                    return SearchResult(found, True, nodes)
                 nodes += 1
-                assign[slot_idx] = cand
+                assign[cell] = cand
                 for check in checks:
                     key = check(assign)
                     ok = memo.get(key)
                     if ok is None:
                         ok = memo[key] = not any(r % p for r in triple_residuals(
-                            delta, *[abv[k] for k in key]))
+                            delta, *[sols[k][:3] for k in key]))
                     if not ok:
                         break
                 else:
-                    if not place(slot_idx + 1,
-                                 omegas[cand] if slot_idx < n else omega):
-                        return False
-            return True
-
-        if not place(0, None):
-            break
-    # place calls itself through its closure, a reference cycle that holds
-    # found; breaking it frees the brackets with the result, not only at the
-    # next full collection
-    del place
-    return SearchResult(found, exhausted, nodes)
+                    if depth + 1 < last:
+                        stack.append(iter(
+                            off_cands if depth + 1 >= n
+                            else by_omega[omegas[assign[0]]]))
+                        break                   # go on at the next cell
+                    # six_rows[i] holds row i of each of the six tables in turn
+                    six_rows = []
+                    for i in range(0, last, n):
+                        ids = tuple(assign[i:i + n])
+                        six = rows.get(ids)
+                        if six is None:
+                            six = rows[ids] = tuple(
+                                shared.setdefault(row, row)
+                                for row in zip(*[sols[k] for k in ids]))
+                        six_rows.append(six)
+                    br = VirtualBracket(x, modulus,
+                                        *[shared.setdefault(t, t)
+                                          for t in zip(*six_rows)],
+                                        delta, omegas[assign[0]])
+                    if verify_bracket_axioms(br).passed:
+                        found.append(br)
+            else:
+                stack.pop()                     # back to the previous cell
+    return SearchResult(found, False, nodes)
 
 
 def brute_force_singleton(p: int) -> list[VirtualBracket]:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -137,8 +138,8 @@ def plain_report(br):
 
 
 def clear_verifier_memo():
-    bracket._pair_clean.cache_clear()
-    bracket._triple_clean.cache_clear()
+    bracket._pair_failures.cache_clear()
+    bracket._triple_failures.cache_clear()
 
 
 def families(report, arity):
@@ -206,6 +207,27 @@ def test_verifier_memo_gives_the_same_reports_cold_and_warm(z5_bracket,
     warm = [verify_bracket_axioms(br) for br in reversed(tables)][::-1]
     assert warm == cold
     assert cold == [plain_report(br) for br in tables]
+
+
+def test_verifier_evaluates_each_instance_once(monkeypatch, z5_bracket):
+    # a dirty instance is evaluated once too: its memo entry holds the
+    # failing families that the report names
+    calls = Counter()
+
+    def counting(residuals):
+        def count(delta, *cells):
+            calls[residuals.__name__, delta, cells] += 1
+            return residuals(delta, *cells)
+        return count
+
+    for residuals in (pair_residuals, triple_residuals):
+        monkeypatch.setattr(bracket, residuals.__name__, counting(residuals))
+    tables = [z5_bracket, *single_entry_mutations(z5_bracket, 60, seed=2)]
+    clear_verifier_memo()
+    reports = [verify_bracket_axioms(br) for br in tables]
+    assert sum(not r.passed for r in reports) > 20
+    assert max(calls.values()) == 1
+    assert reports == [plain_report(br) for br in tables]
 
 
 def biquandle_mutations(x, count, seed=0):

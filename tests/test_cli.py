@@ -191,6 +191,19 @@ def test_search_budget_exhausted(tmp_path):
     assert rc == 3
 
 
+def test_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # a 37-element table has 1,369 cells; the search runs out of budget
+    # (exit 3) and reports it, with no traceback
+    table = tmp_path / "a37.biq"
+    assert run(["biquandle", "alexander", 37, 2, 1, "--out", table]) == 0
+    assert run(["search", "--biquandle", table, "--modulus", 2,
+                "--budget", 5000]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] \
+        == "searched 5000 nodes, 1 solution(s), budget exhausted"
+    assert err == ""
+
+
 def test_search_within_budget_exits_zero(tmp_path):
     # this search takes exactly 1594 nodes, so that budget is enough
     rc = run(["search", "--biquandle", BIQ / "z3_coloring.biq",

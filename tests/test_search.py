@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -11,7 +12,7 @@ from operator import itemgetter
 import pytest
 
 from vknotoid import bracket, search
-from vknotoid.biquandle import AxiomReport, FiniteBiquandle
+from vknotoid.biquandle import AxiomReport, FiniteBiquandle, alexander_biquandle
 from vknotoid.bracket import (VirtualBracket, diagonal_residuals, render_bracket,
                               triple_residuals, triple_slots,
                               verify_bracket_axioms)
@@ -130,7 +131,7 @@ def test_the_interned_rows_and_tables_go_with_the_result(z3_involution,
     # the result is dropped and the verifier's memos cleared, traced memory
     # is back at its level before the search
     verify_bracket_axioms(z5_bracket)       # caches the biquandle's slot table
-    memos = (bracket._pair_clean, bracket._triple_clean)
+    memos = (bracket._pair_failures, bracket._triple_failures)
     tracemalloc.start()
     try:
         for memo in memos:
@@ -175,6 +176,16 @@ def test_budget_exhaustion_flag(z3_involution):
                              SearchConfig(modulus=5, budget=20))
     assert result.exhausted
     assert result.nodes == 20
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # 1,369 cells to assign, more than the interpreter's recursion limit:
+    # the node loop holds one stack entry per cell, not one frame
+    x = alexander_biquandle(37, 2, 1)
+    assert x.n ** 2 > sys.getrecursionlimit()
+    result = search_brackets(x, SearchConfig(2, budget=5000))
+    assert (result.nodes, result.exhausted, len(result.brackets)) \
+        == (5000, True, 1)
 
 
 @pytest.mark.parametrize("p, nodes", [(2, 3), (3, 10)])
@@ -239,7 +250,7 @@ def test_reverification_evaluates_each_distinct_triple_once(monkeypatch,
         return triple_residuals(delta, *cells)
 
     monkeypatch.setattr(bracket, "triple_residuals", counting)
-    bracket._triple_clean.cache_clear()
+    bracket._triple_failures.cache_clear()
     assert all(verify_bracket_axioms(br).passed for br in brackets)
     assert set(calls) == distinct
     assert max(calls.values()) == 1
