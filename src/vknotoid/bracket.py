@@ -27,10 +27,13 @@ read these, and :func:`triple_cells` turns the placement into flat cell
 indices once per biquandle for both.  Which families fail at one pair or
 triple instance is a pure function of m, delta and the coefficients it
 reads, so :func:`verify_bracket_axioms` memoizes the tuple of failing
-family names on exactly those values (the bounded caches
-:func:`_pair_failures` and :func:`_triple_failures`): a bracket gets the
-same report whatever was checked before it, and an instance, clean or
-dirty, is evaluated once while its entry is held.
+family names on exactly those values, in three bounded memos: one per
+coefficient row (its diagonal and pair failures and its packed (A, B, V)
+cells, so a bracket costs n row lookups), one per pair instance, read when
+a row is first seen, and one per triple instance, looked up with one flat
+key of six ints per triple.  A bracket gets the same report whatever was
+checked before it, and an instance, clean or dirty, is evaluated once while
+its entry is held.
 
 Evaluation is compiled once per diagram into a frontier sweep (see
 :func:`_plan`): the crossings are swept one at a time, and a state records
@@ -55,7 +58,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
 from .coloring import counting_matrix, iter_colorings
@@ -96,10 +99,14 @@ class VirtualBracket:
 
     def __post_init__(self) -> None:
         n = self.biquandle.n
-        for name in "ABVCDU":
-            tbl = getattr(self, name)
-            if len(tbl) != n or any(len(r) != n for r in tbl):
-                raise BracketError("table %s is not %dx%d" % (name, n, n))
+        tables = (self.A, self.B, self.V, self.C, self.D, self.U)
+        # one pass over the lengths of the six tables and all their rows; the
+        # per-table loop only names the first bad table
+        lengths = list(map(len, itertools.chain(tables, *tables)))
+        if lengths.count(n) != len(lengths):
+            for name, tbl in zip("ABVCDU", tables):
+                if len(tbl) != n or any(len(r) != n for r in tbl):
+                    raise BracketError("table %s is not %dx%d" % (name, n, n))
         if math.gcd(self.omega, self.modulus.m) != 1:
             raise NotAUnit("omega=%d is not a unit mod %d"
                            % (self.omega, self.modulus.m))
@@ -247,21 +254,65 @@ def triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...],
     return tuple(table)
 
 
-# Each memo holds 8192 instances: the 19,456 brackets of the reference search
-# have 4,432 distinct triple instances.
+# Each memo holds at most _MEMO_SIZE entries, read at call time: the 19,456
+# brackets of the reference search have 1,728 distinct rows (with their m,
+# delta and omega), 36 distinct pair instances and 4,432 distinct triple
+# instances.
 _MEMO_SIZE = 1 << 13
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _pair_failures(m: int, delta: int,
-                   cell: tuple[int, ...]) -> tuple[str, ...]:
+class _Memo:
+    """A bounded memo of what ``fill(*params, key)`` returns, split into one
+    dict per parameter tuple (m, delta, ...), so that a lookup key holds only
+    the instance and ``map`` can look up many keys at once.  When it holds
+    _MEMO_SIZE entries in all, it is emptied before the next one is stored."""
+
+    def __init__(self, fill) -> None:
+        self.fill = fill
+        self.parts: dict[tuple, _MemoPart] = {}
+        self.size = 0
+
+    def part(self, *params) -> _MemoPart:
+        part = self.parts.get(params)
+        if part is None:
+            part = self.parts[params] = _MemoPart(self, params)
+        return part
+
+    def clear(self) -> None:
+        for part in self.parts.values():
+            part.clear()
+        self.parts.clear()
+        self.size = 0
+
+
+class _MemoPart(dict):
+    """The entries of one :class:`_Memo` that share its parameters; a missing
+    key is evaluated once and stored."""
+
+    __slots__ = ("memo", "params")
+
+    def __init__(self, memo: _Memo, params: tuple) -> None:
+        super().__init__()
+        self.memo, self.params = memo, params
+
+    def __missing__(self, key):
+        memo = self.memo
+        value = memo.fill(*self.params, key)
+        if memo.size >= _MEMO_SIZE:
+            memo.clear()
+            memo.parts[self.params] = self
+        self[key] = value
+        memo.size += 1
+        return value
+
+
+def _pair_failures(m: int, delta: int, cell: tuple[int, ...]) -> tuple[str, ...]:
     """The families of (3)-(8) that fail mod m for the coefficients
     (A, B, V, C, D, U) at one pair."""
     vals = pair_residuals(delta, *cell)
     return tuple([key for key, val in zip(_PAIR_FAMILIES, vals) if val % m])
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _triple_failures(m: int, delta: int,
                      codes: tuple[int, ...]) -> tuple[str, ...]:
     """The families of (9)-(23) that fail mod m at one element triple, for
@@ -272,40 +323,69 @@ def _triple_failures(m: int, delta: int,
     return tuple([key for key, val in zip(_TRIPLE_FAMILIES, vals) if val % m])
 
 
+def _row_failures(m: int, delta: int, omega: int, key: tuple) -> tuple:
+    """For ``key`` = (a, the six coefficient rows A[a], ..., U[a]): the
+    failures of (1)-(2) at (a, a) and of (3)-(8) at each (a, b), with their
+    1-based witnesses, and the row's (A, B, V) cells packed for
+    :func:`_triple_failures`.  Each pair instance goes through the pair memo.
+    """
+    a, rows = key
+    cells = list(zip(*rows))                    # (A, B, V, C, D, U) at (a, b)
+    vals = diagonal_residuals(delta, omega, *cells[a])
+    diagonal = tuple([(k, (a + 1,)) for k, val in zip(("1", "2"), vals)
+                      if val % m])
+    pairs = _PAIR_MEMO.part(m, delta)
+    failed = tuple([(k, (a + 1, b + 1)) for b, cell in enumerate(cells)
+                    for k in pairs[cell]])
+    # the residuals mod m read the coefficients only mod m, so packing the
+    # reduced (A, B, V) of a cell into one int keeps everything the triple
+    # families read, and a triple's memo key is six small ints
+    codes = tuple([(A % m * m + B % m) * m + V % m for A, B, V, *_ in cells])
+    return diagonal, failed, codes
+
+
+_PAIR_MEMO = _Memo(_pair_failures)
+_TRIPLE_MEMO = _Memo(_triple_failures)
+_ROW_MEMO = _Memo(_row_failures)
+
+
+@lru_cache(maxsize=8)
+def _triple_keys(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...], ...],
+                                               Callable]:
+    """The witnesses of :func:`triple_cells` in order, and one getter of all
+    their cells in turn: six per triple, from a flat n * n list."""
+    table = triple_cells(x)
+    flat = [cell for _, cells, _ in table for cell in cells]
+    # with n = 0 there are no triples, and itemgetter needs an index
+    return (tuple([witness for witness, _, _ in table]),
+            itemgetter(*flat) if flat else lambda codes: ())
+
+
 def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     """Check equation families (1)-(23); failures are reported per family
-    with a witness tuple of 1-based element indices.
+    with a witness tuple of 1-based element indices, (1)-(2) first, then
+    (3)-(8) by pair, then (9)-(23) by triple.
 
-    The failing families of each pair and triple instance are looked up in
-    a bounded memo keyed on (m, delta, the coefficients it reads), so an
-    instance is evaluated at most once while its entry is held, and the
-    report is the same as without the memo."""
-    x = br.biquandle
-    n, m, d = x.n, br.modulus.m, br.delta
-    nonzero = m.__rmod__                                # r -> r % m
-    # cells[i * n + j] = (A, B, V, C, D, U) at the pair (i, j)
-    cells = [cell for rows in zip(br.A, br.B, br.V, br.C, br.D, br.U)
-             for cell in zip(*rows)]
-    bad: list[tuple[str, tuple]] = []
-
-    for a in range(n):
-        vals = diagonal_residuals(d, br.omega, *cells[a * n + a])
-        if any(map(nonzero, vals)):
-            bad.extend((key, (a + 1,)) for key, val in zip(("1", "2"), vals)
-                       if val % m)
-    for k, cell in enumerate(cells):
-        failed = _pair_failures(m, d, cell)
-        if failed:
-            a, b = divmod(k, n)
-            bad.extend([(key, (a + 1, b + 1)) for key in failed])
-    # the residuals mod m read the coefficients only mod m, so packing the
-    # reduced (A, B, V) of a cell into one int keeps everything the families
-    # read, and a memo key is six small ints
-    codes = [(a % m * m + b % m) * m + v % m for a, b, v, _, _, _ in cells]
-    for witness, _, get in triple_cells(x):
-        failed = _triple_failures(m, d, get(codes))
-        if failed:
-            bad.extend([(key, witness) for key in failed])
+    Three bounded memos hold what the verdicts read: per coefficient row,
+    on (m, delta, omega, a, the six rows at a), its failures of (1)-(8) and
+    its packed (A, B, V) cells; per pair, on (m, delta, its coefficients),
+    the failures of (3)-(8), consulted when a row is first seen; and per
+    triple, on (m, delta, its six packed cells), the failures of (9)-(23).
+    So an instance is evaluated at most once while its entry is held, and
+    the report is the same as without the memos."""
+    m, d = br.modulus.m, br.delta
+    rows = list(map(_ROW_MEMO.part(m, d, br.omega).__getitem__,
+                    enumerate(zip(br.A, br.B, br.V, br.C, br.D, br.U))))
+    bad = [v for diagonal, _, _ in rows for v in diagonal]
+    bad += [v for _, failed, _ in rows for v in failed]
+    witnesses, get = _triple_keys(br.biquandle)
+    flat = get([code for _, _, codes in rows for code in codes])
+    # cut into one key of six packed cells per triple
+    failed = list(map(_TRIPLE_MEMO.part(m, d).__getitem__,
+                      zip(*[iter(flat)] * 6)))
+    if any(failed):
+        bad += [(key, witness) for witness, keys in zip(witnesses, failed)
+                for key in keys]
     return AxiomReport(not bad, tuple(bad))
 
 

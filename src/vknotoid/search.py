@@ -24,12 +24,15 @@ completes is passed to a fresh :func:`~vknotoid.bracket.verify_bracket_axioms`
 call before being reported.  That verifier memoizes the failing families of
 each instance on m, delta and the coefficients it reads, so it shares
 nothing with the search's memo: the reference search's 19,456 brackets read
-525,312 triple instances, of which 4,432 are distinct.
+525,312 triple instances, of which 4,432 are distinct.  It also memoizes
+whole coefficient rows on their values, and the found brackets share their
+rows (below), so it looks up n rows per bracket, not n^2 pairs.
 
 Found brackets share their immutable rows and tables.  Per delta, each
 distinct coefficient row is built once, keyed on the candidate ids of its
-n cells, and every distinct row or table value is one tuple for the whole
-call, so a result grows with its distinct values, not with its solutions:
+n cells (:class:`_Rows`), and every distinct row or table value is one
+tuple for the whole call, so a result grows with its distinct values, not
+with its solutions:
 the reference search's 19,456 brackets hold 116,736 tables and 350,208
 rows, of which 3,345 and 125 are distinct.
 
@@ -125,6 +128,21 @@ def pair_solutions(delta: int, p: int) -> list[tuple[int, ...]]:
             if (cdu := solve_pair(a, b, v, delta, p)) is not None]
 
 
+class _Rows(dict):
+    """Per delta: the candidate ids of a row's n cells -> the row of each of
+    the six tables that they give, built once, each row interned in
+    ``shared``."""
+
+    def __init__(self, sols: list[tuple[int, ...]], shared: dict) -> None:
+        super().__init__()
+        self.sols, self.shared = sols, shared
+
+    def __missing__(self, ids: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        six = self[ids] = tuple([self.shared.setdefault(row, row) for row in
+                                 zip(*map(self.sols.__getitem__, ids))])
+        return six
+
+
 def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     """Enumerate brackets over Z_p matching the configured ansatz.
 
@@ -179,9 +197,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         # with delta fixed, a triple check reads only the (A, B, V) of its six
         # candidates, so its outcome is memoized on their ids for this delta
         memo: dict[tuple[int, ...], bool] = {}
-        # the six coefficient rows that the candidate ids of a row's n cells
-        # give, built once per delta
-        rows: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        rows = _Rows(sols, shared)
         # the candidate id at each cell; cells deeper than the current depth
         # hold stale ids that no check reads
         assign = [0] * last
@@ -210,19 +226,12 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                             off_cands if depth + 1 >= n
                             else by_omega[omegas[assign[0]]]))
                         break                   # go on at the next cell
-                    # six_rows[i] holds row i of each of the six tables in turn
-                    six_rows = []
-                    for i in range(0, last, n):
-                        ids = tuple(assign[i:i + n])
-                        six = rows.get(ids)
-                        if six is None:
-                            six = rows[ids] = tuple(
-                                shared.setdefault(row, row)
-                                for row in zip(*[sols[k] for k in ids]))
-                        six_rows.append(six)
+                    # the candidate ids of each row's n cells give its six
+                    # coefficient rows, which give the six tables
+                    tables = tuple(zip(*map(rows.__getitem__,
+                                            zip(*[iter(assign)] * n))))
                     br = VirtualBracket(x, modulus,
-                                        *[shared.setdefault(t, t)
-                                          for t in zip(*six_rows)],
+                                        *map(shared.setdefault, tables, tables),
                                         delta, omegas[assign[0]])
                     if verify_bracket_axioms(br).passed:
                         found.append(br)

@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 
 from vknotoid import bracket
-from vknotoid.bracket import (ColoringMismatch, State, VirtualBracket,
+from vknotoid.bracket import (BracketError, ColoringMismatch, State,
+                              VirtualBracket,
                               bracket_matrix, bracket_multiset,
                               bracket_polynomial, diagonal_residuals,
                               enumerate_states, evaluate,
@@ -18,7 +19,8 @@ from vknotoid.bracket import (ColoringMismatch, State, VirtualBracket,
 from vknotoid.biquandle import AxiomReport, FiniteBiquandle, verify_biquandle_axioms
 from vknotoid.coloring import enumerate_colorings
 from vknotoid.diagram import parse_diagram
-from vknotoid.ring import Modulus, poly_render
+from vknotoid.ring import Modulus, NotAUnit, poly_render
+from vknotoid.search import SearchConfig, search_brackets
 
 
 # -- axioms ----------------------------------------------------------------------
@@ -113,6 +115,9 @@ def test_violations_are_frozen(z5_bracket, z37_bracket):
 
 # -- the verifier's memo -------------------------------------------------------------
 
+VERIFIER_MEMOS = (bracket._ROW_MEMO, bracket._PAIR_MEMO, bracket._TRIPLE_MEMO)
+
+
 def plain_report(br):
     """Every equation family at every instance, evaluated directly, in the
     verifier's report order: the verifier without its memo."""
@@ -138,8 +143,8 @@ def plain_report(br):
 
 
 def clear_verifier_memo():
-    bracket._pair_failures.cache_clear()
-    bracket._triple_failures.cache_clear()
+    for memo in VERIFIER_MEMOS:
+        memo.clear()
 
 
 def families(report, arity):
@@ -228,6 +233,114 @@ def test_verifier_evaluates_each_instance_once(monkeypatch, z5_bracket):
     assert sum(not r.passed for r in reports) > 20
     assert max(calls.values()) == 1
     assert reports == [plain_report(br) for br in tables]
+
+
+@pytest.fixture(scope="module")
+def z3_full_search(z3_involution):
+    """The 480 brackets of a full-ansatz search mod 3, which share their
+    rows and tables, and 100 brackets differing from them in one entry."""
+    found = search_brackets(z3_involution, SearchConfig(3, "full", seed=2))
+    mutated = [next(single_entry_mutations(br, 1, seed=k))
+               for k, br in enumerate(found.brackets[::4][:100])]
+    assert (len(found.brackets), len(mutated)) == (480, 100)
+    return found.brackets + mutated
+
+
+def test_verifier_matches_the_oracle_on_search_output(z3_full_search):
+    # reports on cold memos, then again in reverse order on the memos they
+    # warmed; the mutations have entries outside range(3) and fail
+    tables = z3_full_search
+    clear_verifier_memo()
+    cold = [verify_bracket_axioms(br) for br in tables]
+    warm = [verify_bracket_axioms(br) for br in reversed(tables)][::-1]
+    assert warm == cold
+    assert cold == [plain_report(br) for br in tables]
+    assert sum(not r.passed for r in cold) > 50
+
+
+def test_verifier_memo_keys_rows_on_their_values(monkeypatch, z3_full_search):
+    # a bracket rebuilt from equal rows that are other objects gets the
+    # report of the original from the warm memos, evaluating nothing
+    def rebuilt(br):
+        return dataclasses.replace(br, **{
+            letter: tuple(tuple(list(row)) for row in br.table(letter))
+            for letter in "ABVCDU"})
+
+    calls = Counter()
+
+    def counting(residuals):
+        def count(*args):
+            calls[residuals.__name__] += 1
+            return residuals(*args)
+        return count
+
+    for br in (z3_full_search[0], z3_full_search[-1]):
+        clear_verifier_memo()
+        report = verify_bracket_axioms(br)
+        copy = rebuilt(br)
+        assert copy == br and copy.A[0] is not br.A[0]
+        with monkeypatch.context() as patch:
+            for residuals in (diagonal_residuals, pair_residuals,
+                              triple_residuals):
+                patch.setattr(bracket, residuals.__name__, counting(residuals))
+            assert verify_bracket_axioms(copy) == report == plain_report(br)
+        assert not calls
+
+
+def memo_entries(memo):
+    return sum(map(len, memo.parts.values()))
+
+
+def test_verifier_memos_stay_bounded(monkeypatch, z5_bracket, z3_full_search):
+    # with a bound far below the distinct instances, every memo overflows
+    # and is emptied again, yet holds at most the bound and changes no report
+    bound = 16
+    monkeypatch.setattr(bracket, "_MEMO_SIZE", bound)
+    tables = [*z3_full_search, z5_bracket,
+              *single_entry_mutations(z5_bracket, 100, seed=3)]
+    clear_verifier_memo()
+    held = dict.fromkeys(VERIFIER_MEMOS, 0)
+    emptied = set()
+    for br in tables:
+        assert verify_bracket_axioms(br) == plain_report(br)
+        for memo in VERIFIER_MEMOS:
+            entries = sum(map(len, memo.parts.values()))
+            assert entries == memo.size <= bound
+            assert len(memo.parts) <= bound
+            if entries < held[memo]:
+                emptied.add(memo)
+            held[memo] = entries
+    assert emptied == set(VERIFIER_MEMOS)
+
+
+@pytest.mark.parametrize("letter", "ABVCDU")
+@pytest.mark.parametrize("defect", ["missing row", "extra row", "short row",
+                                    "long row"])
+def test_bracket_tables_must_be_square(z5_bracket, letter, defect):
+    # the error names the first bad table in ABVCDU order
+    def broken(table):
+        rows = list(table)
+        if defect == "missing row":
+            del rows[1]
+        elif defect == "extra row":
+            rows.append(rows[0])
+        else:
+            rows[2] = rows[2][:2] if defect == "short row" else rows[2] + (0,)
+        return tuple(rows)
+
+    # the table alone, then with U broken too
+    for bad in (letter, letter + "U"):
+        fields = {name: broken(z5_bracket.table(name)) for name in bad}
+        with pytest.raises(BracketError,
+                           match=r"^table %s is not 3x3$" % letter):
+            dataclasses.replace(z5_bracket, **fields)
+
+
+def test_bracket_omega_must_be_a_unit(z5_bracket):
+    for omega in (0, 5, 10):
+        with pytest.raises(NotAUnit):
+            dataclasses.replace(z5_bracket, omega=omega)
+    assert dataclasses.replace(z5_bracket, omega=9).omega == 4
 
 
 def biquandle_mutations(x, count, seed=0):

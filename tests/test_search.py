@@ -131,18 +131,18 @@ def test_the_interned_rows_and_tables_go_with_the_result(z3_involution,
     # the result is dropped and the verifier's memos cleared, traced memory
     # is back at its level before the search
     verify_bracket_axioms(z5_bracket)       # caches the biquandle's slot table
-    memos = (bracket._pair_failures, bracket._triple_failures)
+    memos = (bracket._ROW_MEMO, bracket._PAIR_MEMO, bracket._TRIPLE_MEMO)
     tracemalloc.start()
     try:
         for memo in memos:
-            memo.cache_clear()
+            memo.clear()
         before = _traced_after_collection()
         result = search_brackets(z3_involution,
                                  SearchConfig(3, "full", seed=2))
         held = _traced_after_collection() - before
         del result
         for memo in memos:
-            memo.cache_clear()
+            memo.clear()
         left = _traced_after_collection() - before
     finally:
         tracemalloc.stop()
@@ -250,7 +250,7 @@ def test_reverification_evaluates_each_distinct_triple_once(monkeypatch,
         return triple_residuals(delta, *cells)
 
     monkeypatch.setattr(bracket, "triple_residuals", counting)
-    bracket._triple_failures.cache_clear()
+    bracket._TRIPLE_MEMO.clear()
     assert all(verify_bracket_axioms(br).passed for br in brackets)
     assert set(calls) == distinct
     assert max(calls.values()) == 1
