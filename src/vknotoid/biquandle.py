@@ -59,6 +59,7 @@ class FiniteBiquandle:
     under_table: Table
     over_table: Table
     _solvers: tuple = field(repr=False, compare=False, default=())
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         n = len(self.under_table)
@@ -70,6 +71,14 @@ class FiniteBiquandle:
                     if not 0 <= e < n:
                         raise RangeError("entry %d outside 0..%d" % (e, n - 1))
         object.__setattr__(self, "_solvers", self._solve_tables())
+        # the plan cache and the per-biquandle tables of the verifier look a
+        # biquandle up by value; hashing both n x n tables once keeps each
+        # lookup O(1)
+        object.__setattr__(self, "_hash",
+                           hash((self.under_table, self.over_table)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _solve_tables(self) -> tuple:
         """The four solvers of the sideways relation S(a, b) = (c, d), i.e.
@@ -143,7 +152,9 @@ def parse_operation_matrix(text: str) -> FiniteBiquandle:
         n = int(lines[0])
     except ValueError as exc:
         raise ShapeError("first line must hold the element count") from exc
-    if n < 1 or len(lines) != n + 1:
+    if n < 1:
+        raise ShapeError("element count must be positive, got %d" % n)
+    if len(lines) != n + 1:
         raise ShapeError("expected %d matrix rows" % n)
     under, over = [], []
     for ln in lines[1:]:

@@ -56,15 +56,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
-from .coloring import counting_matrix, iter_colorings
+from .coloring import _PLANS, counting_matrix, diagram_plans, iter_colorings
 from .diagram import (Crossing, KnotoidDiagram, crossing_relations,
                       relation_holds, writhe)
-from .ring import BracketPolynomial, Modulus, RingElement, NotAUnit, poly_add
+from .ring import BracketPolynomial, Modulus, RingElement, NotAUnit
 
 Table = tuple[tuple[int, ...], ...]
 ABV = tuple[int, int, int]          # the (A, B, V) coefficients at one pair
@@ -115,6 +115,23 @@ class VirtualBracket:
 
     def table(self, letter: str) -> Table:
         return getattr(self, letter)
+
+    @cached_property
+    def _weights(self) -> dict[int, list]:
+        """Per crossing sign, the state sum's weights at each argument pair
+        (a, b): [a][b][kind + 3 * loops] = coefficient * delta^loops, with
+        the coefficients A, B, V at positive crossings and C, D, U at
+        negative ones.  Built on the first evaluation and kept with the
+        bracket, so every diagram evaluated under it shares them."""
+        m, d1 = self.modulus.m, self.delta
+        d2 = d1 * d1 % m
+
+        def weights(t0: Table, t1: Table, t2: Table) -> list:
+            return [[(a, b, v, a * d1, b * d1, v * d1, a * d2, b * d2, v * d2)
+                     for a, b, v in zip(*rows)] for rows in zip(t0, t1, t2)]
+
+        return {1: weights(self.A, self.B, self.V),
+                -1: weights(self.C, self.D, self.U)}
 
 
 def parse_bracket(text: str, biquandle: FiniteBiquandle) -> VirtualBracket:
@@ -403,7 +420,9 @@ class _StatePlan(NamedTuple):
                         tuple[tuple[tuple[int, int], ...], ...]], ...]
 
 
-_PLANS: dict[tuple, _StatePlan] = {}
+# The plan cache, ``_PLANS``, is imported from coloring: one entry per
+# diagram holds its state plan and its coloring plans, so ``_PLANS.clear()``
+# forgets both.
 
 # A crossing's four ports as slots 0 u_in, 1 u_out, 2 o_in, 3 o_out, and the
 # slot each smoothing joins to each slot, in SMOOTHINGS order.
@@ -465,10 +484,9 @@ def _plan(diagram: KnotoidDiagram) -> _StatePlan:
     is a loop (at most two per crossing).  After the last crossing the only
     state is the open component, the tail matched to the head.
     """
-    key = diagram.passes
-    plan = _PLANS.get(key)
-    if plan is not None:
-        return plan
+    entry = diagram_plans(diagram)
+    if entry.state is not None:
+        return entry.state
     todo = list(diagram.crossings().items())
     unswept = [2] * diagram.semi_arc_count
     boundary: list[int] = []
@@ -521,11 +539,8 @@ def _plan(diagram: KnotoidDiagram) -> _StatePlan:
         sweep.append(cid)
         levels.append((cr.sign, cr.pair(), tuple(map(tuple, incoming))))
     assert len(states) == 1
-    plan = _StatePlan(writhe(diagram), tuple(sweep), tuple(levels))
-    if len(_PLANS) > 64:
-        _PLANS.clear()
-    _PLANS[key] = plan
-    return plan
+    entry.state = _StatePlan(writhe(diagram), tuple(sweep), tuple(levels))
+    return entry.state
 
 
 def _evaluator(plan: _StatePlan, br: VirtualBracket):
@@ -533,22 +548,16 @@ def _evaluator(plan: _StatePlan, br: VirtualBracket):
     coloring to its value in range(m).
 
     Per coloring, each level of the sweep reads the nine weights
-    coefficient * delta^loops at its crossing's argument pair and carries the
-    sum over partial states into every successor state.  The final state is
-    the open component, which contributes one more delta.
+    coefficient * delta^loops (:attr:`VirtualBracket._weights`) at its
+    crossing's argument pair and carries the sum over partial states into
+    every successor state.  The final state is the open component, which
+    contributes one more delta.
     """
-    m, d1 = br.modulus.m, br.delta
-    d2 = d1 * d1 % m
-
-    def weights(t0: Table, t1: Table, t2: Table) -> list:
-        # weights[a][b][kind + 3 * loops] = coefficient * delta^loops
-        return [[(a, b, v, a * d1, b * d1, v * d1, a * d2, b * d2, v * d2)
-                 for a, b, v in zip(*rows)] for rows in zip(t0, t1, t2)]
-
-    by_sign = {1: weights(br.A, br.B, br.V), -1: weights(br.C, br.D, br.U)}
+    m = br.modulus.m
+    by_sign = br._weights
     steps = [(by_sign[sign], i, j, incoming)
              for sign, (i, j), incoming in plan.levels]
-    scale = d1 * pow(br.omega, -plan.writhe, m) % m
+    scale = br.delta * pow(br.omega, -plan.writhe, m) % m
 
     def value(coloring: tuple[int, ...]) -> int:
         vals = [1]
@@ -592,9 +601,17 @@ class Invariants(NamedTuple):
 
     @property
     def bracket_polynomial(self) -> BracketPolynomial | None:
+        """The sum of the bracket matrix's entries, in one pass over their
+        terms."""
         if self.bracket_matrix is None:
             return None
-        return reduce(poly_add, (p for row in self.bracket_matrix for p in row))
+        total: dict[int, int] = {}
+        for row in self.bracket_matrix:
+            for p in row:
+                for e, mult in p.terms:
+                    total[e] = total.get(e, 0) + mult
+        return BracketPolynomial(self.bracket_matrix[0][0].modulus,
+                                 tuple(sorted(total.items(), reverse=True)))
 
 
 def invariants(diagram: KnotoidDiagram, x: FiniteBiquandle,
@@ -609,9 +626,12 @@ def invariants(diagram: KnotoidDiagram, x: FiniteBiquandle,
         v = value(f)
         cell = cells[f[0]][f[-1]]
         cell[v] = cell.get(v, 0) + 1
+    # a cell's values are residues with positive counts, so its terms are
+    # canonical once sorted
     return Invariants([[sum(c.values()) for c in row] for row in cells],
-                      [[BracketPolynomial.from_dict(br.modulus, c) for c in row]
-                       for row in cells])
+                      [[BracketPolynomial(br.modulus,
+                                          tuple(sorted(c.items(), reverse=True)))
+                        for c in row] for row in cells])
 
 
 def bracket_multiset(diagram: KnotoidDiagram, x: FiniteBiquandle,

@@ -8,13 +8,17 @@ b over a = c), and any of the pairs {a, b}, {c, d}, {a, c}, {b, d} fixes the
 other two colors through one of the biquandle's solve tables
 (:meth:`~vknotoid.biquandle.FiniteBiquandle.solvers`).
 
-So enumeration is compiled, once per call and in O(c), into a plan: branch
-on the tail color, derive every crossing whose determining pair is known
-(a derived color that is already known becomes a check), and when nothing
-more follows, branch on the semi-arc that completes a determining pair of
-the first unfinished crossing in order of first pass.  The plan branches
-only where no crossing forces a color, so its cost grows with the number
-of such branch points, not with the frontier width of the traversal.
+So enumeration is compiled, in O(c), into a plan: branch on the tail
+color, derive every crossing whose determining pair is known (a derived
+color that is already known becomes a check), and when nothing more
+follows, branch on the semi-arc that completes a determining pair of the
+first unfinished crossing in order of first pass.  The plan branches only
+where no crossing forces a color, so its cost grows with the number of such
+branch points, not with the frontier width of the traversal.  A plan
+depends only on the diagram's passes and the biquandle's tables, so it is
+compiled once per (diagram, biquandle) and kept in the plan cache
+:data:`_PLANS`, which holds one entry per diagram: its coloring plans and
+its state plan (:func:`vknotoid.bracket._plan`).
 
 The plan runs on an explicit stack, so the depth of a diagram is bounded by
 memory, not by the interpreter's recursion limit.  Colorings are yielded one
@@ -29,6 +33,35 @@ from .biquandle import FiniteBiquandle
 from .diagram import KnotoidDiagram
 
 Coloring = tuple[int, ...]
+
+
+class DiagramPlans:
+    """The plan cache's entry for one diagram: its state plan once
+    :mod:`vknotoid.bracket` has compiled it, and one coloring plan per
+    biquandle."""
+
+    __slots__ = ("state", "solve")
+
+    def __init__(self) -> None:
+        self.state = None
+        self.solve: dict[FiniteBiquandle, list] = {}
+
+
+# Keyed on the diagram's passes.  It is emptied before a diagram joins 65
+# others, and an entry's coloring plans before a biquandle joins 65 others.
+# ``bracket._PLANS`` is this dict, so clearing either forgets every plan.
+_PLANS: dict[tuple, DiagramPlans] = {}
+_PLAN_LIMIT = 64
+
+
+def diagram_plans(diagram: KnotoidDiagram) -> DiagramPlans:
+    """The diagram's entry in the plan cache, made empty if it has none."""
+    entry = _PLANS.get(diagram.passes)
+    if entry is None:
+        if len(_PLANS) > _PLAN_LIMIT:
+            _PLANS.clear()
+        entry = _PLANS[diagram.passes] = DiagramPlans()
+    return entry
 
 
 def _solve_plan(diagram: KnotoidDiagram, x: FiniteBiquandle) -> list:
@@ -93,7 +126,12 @@ def iter_colorings(diagram: KnotoidDiagram,
     indices per semi-arc.  Raises NotABiquandle before the first coloring if
     the diagram has a classical crossing and a solve table of ``x`` is not
     a function."""
-    steps = _solve_plan(diagram, x)
+    solve = diagram_plans(diagram).solve
+    steps = solve.get(x)
+    if steps is None:
+        if len(solve) > _PLAN_LIMIT:
+            solve.clear()
+        steps = solve[x] = _solve_plan(diagram, x)
     last = len(steps)
     colors = [0] * diagram.semi_arc_count
     stack = list(steps[0])

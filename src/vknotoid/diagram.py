@@ -168,8 +168,10 @@ class KnotoidDiagram:
 
 
 def writhe(diagram: KnotoidDiagram) -> int:
-    """Sum of classical crossing signs; virtual crossings contribute nothing."""
-    return sum(c.sign for c in diagram.crossings().values())
+    """Sum of classical crossing signs; virtual crossings contribute nothing.
+    Each classical crossing has two passes of its sign, so this is half the
+    sum over the classical passes."""
+    return sum([p.sign for p in diagram.passes if p.kind != "V"]) // 2
 
 
 # -- parsing and rendering ---------------------------------------------------

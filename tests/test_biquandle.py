@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
+from vknotoid import bracket
 from vknotoid.biquandle import (FiniteBiquandle, NotAUnit, RangeError,
                                 ShapeError, alexander_biquandle,
                                 parse_operation_matrix,
                                 render_operation_matrix,
                                 verify_biquandle_axioms)
+from vknotoid.coloring import iter_colorings
 
 Z5_MATRIX = """\
 5
@@ -53,6 +55,38 @@ def test_parse_errors():
         parse_operation_matrix("2\n1 2 2 1\n")
     with pytest.raises(RangeError):
         parse_operation_matrix("2\n1 2 2 3\n2 1 1 2\n")
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_element_count_must_be_positive(count):
+    with pytest.raises(ShapeError,
+                       match="element count must be positive, got %d" % count):
+        parse_operation_matrix("%d\n" % count)
+    # a positive count still reports the rows it expects
+    with pytest.raises(ShapeError, match="expected 2 matrix rows"):
+        parse_operation_matrix("2\n1 2 2 1\n")
+
+
+def copy_of(x):
+    """An equal biquandle built from tables that share no tuple with x's."""
+    return FiniteBiquandle(tuple([tuple(list(row)) for row in x.under_table]),
+                           tuple([tuple(list(row)) for row in x.over_table]))
+
+
+def test_equal_tables_hash_once_and_share_their_caches(z3_coloring, corpus):
+    y = copy_of(z3_coloring)
+    assert y is not z3_coloring and y.under_table is not z3_coloring.under_table
+    assert y == z3_coloring
+    assert hash(y) == hash(z3_coloring) \
+        == hash((z3_coloring.under_table, z3_coloring.over_table))
+    # the hash is computed once, in __post_init__
+    assert hash(y) == y._hash
+    assert bracket.triple_cells(y) is bracket.triple_cells(z3_coloring)
+    d = corpus["3.1.1"]
+    bracket._PLANS.clear()
+    assert sorted(iter_colorings(d, z3_coloring)) == sorted(iter_colorings(d, y))
+    assert list(bracket._PLANS[d.passes].solve) == [z3_coloring]
+    assert copy_of(alexander_biquandle(5, 2, 4)) != z3_coloring
 
 
 def test_render_round_trip():

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import json
+import re
 
 import pytest
 
-from vknotoid import cli
+from vknotoid import bracket, cli
 from vknotoid.bracket import render_bracket
 from vknotoid.cli import build_parser, main
 from vknotoid.data import data_dir, corpus_dir
@@ -34,6 +36,16 @@ def test_biquandle_check_parse_error(tmp_path):
     empty.write_text("")
     assert run(["biquandle", "check", empty]) == 2
     assert run(["biquandle", "check", tmp_path / "missing.biq"]) == 2
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_biquandle_check_rejects_a_count_below_one(tmp_path, capsys, count):
+    bad = tmp_path / "bad.biq"
+    bad.write_text("%d\n" % count)
+    assert run(["biquandle", "check", bad]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad biquandle file %s: element count must be " \
+                  "positive, got %d\n" % (bad, count)
 
 
 def test_biquandle_alexander_emits_table(tmp_path, capsys):
@@ -112,6 +124,47 @@ def test_corpus_csv(tmp_path, capsys):
     assert header.startswith("name,")
     assert "M_1_1" in header
     assert len(out.strip().splitlines()) == 33
+
+
+# sha256 of each config's "results", as json.dumps(..., sort_keys=True), over
+# the bundled corpus; the figures were taken before the coloring plans moved
+# into the plan cache
+CORPUS_DIGESTS = {
+    "z3_involution+z5_involution": (
+        ["--biquandle", BIQ / "z3_involution.biq",
+         "--bracket", BRK / "z5_involution.bvb"],
+        "21bc928584cbfdf0f36fd001f9d025a1627d3009e9d7012c9801ff321e658abc"),
+    "z3_shift+z37_shift": (
+        ["--biquandle", BIQ / "z3_shift.biq",
+         "--bracket", BRK / "z37_shift.bvb", "--no-verify"],
+        "1b8286242572dd3c141d9cac3518fc27579842fd40583da904956dbe1a28b6b8"),
+    "z5_alexander": (
+        ["--biquandle", BIQ / "z5_alexander.biq"],
+        "af34f5671094d908918c536bdb6958081696c0e2cd9e16e6a7628321780a937e"),
+    "z3_coloring": (
+        ["--biquandle", BIQ / "z3_coloring.biq"],
+        "3d4e1b6e10c13ef8ade4dd9f84bfbb45b6ddc7d9785263a10add6e137cce0366"),
+}
+
+
+@pytest.mark.parametrize("config", list(CORPUS_DIGESTS))
+def test_corpus_results_are_pinned(capsys, config):
+    extra, digest = CORPUS_DIGESTS[config]
+
+    def corpus_json():
+        assert run(["corpus", "--dir", corpus_dir(), *extra,
+                    "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        return out, re.sub(r'"wall_time_s": [^,\n]*', "", out)
+
+    out, first = corpus_json()
+    results = json.loads(out)["results"]
+    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()
+                          ).hexdigest() == digest
+    # warm, then with every plan forgotten
+    assert corpus_json()[1] == first
+    bracket._PLANS.clear()
+    assert corpus_json()[1] == first
 
 
 def test_corpus_empty_dir(tmp_path):
