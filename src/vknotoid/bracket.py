@@ -134,9 +134,15 @@ class VirtualBracket:
                 -1: weights(self.C, self.D, self.U)}
 
 
+@lru_cache(maxsize=32)
 def parse_bracket(text: str, biquandle: FiniteBiquandle) -> VirtualBracket:
     """Bracket file: "n m" header, n rows of 6n integers laid out as the
-    block row [A|B|V|C|D|U], then "delta <int> omega <int>"."""
+    block row [A|B|V|C|D|U], then "delta <int> omega <int>".
+
+    Memoized on the text and the biquandle's value, so a process that reads
+    a bracket again parses it and builds its weights once; the bracket is
+    immutable, so every caller may share it.  The memo holds 32 brackets,
+    about 0.5 MB each at n = 37 with their weights."""
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]
     if len(lines) < 2:
@@ -373,9 +379,7 @@ def _triple_keys(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...], ...],
     their cells in turn: six per triple, from a flat n * n list."""
     table = triple_cells(x)
     flat = [cell for _, cells, _ in table for cell in cells]
-    # with n = 0 there are no triples, and itemgetter needs an index
-    return (tuple([witness for witness, _, _ in table]),
-            itemgetter(*flat) if flat else lambda codes: ())
+    return tuple([witness for witness, _, _ in table]), itemgetter(*flat)
 
 
 def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .biquandle import FiniteBiquandle
@@ -194,6 +195,7 @@ def _parse_tokens(code: str) -> tuple[Pass, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=128)
 def parse_diagram(text: str, name: str = "") -> KnotoidDiagram:
     """Parse a diagram.
 
@@ -203,6 +205,11 @@ def parse_diagram(text: str, name: str = "") -> KnotoidDiagram:
         code <token>(,<token>)*      (or "code -" for the trivial diagram)
 
     or a bare comma-separated token list (possibly empty).
+
+    Memoized on the text and name, so a process that reads a file again
+    parses it once; the diagram is immutable, so every caller may share it.
+    The memo holds 128 diagrams, twice the plan cache's bound; an entry
+    takes about 20 times its text (5.6 KB at c = 30).
     """
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]

@@ -67,6 +67,14 @@ def test_element_count_must_be_positive(count):
         parse_operation_matrix("2\n1 2 2 1\n")
 
 
+def test_an_empty_biquandle_is_rejected():
+    # with no element a bracket matrix has no cell to sum, so an empty table
+    # is refused where it is built, with the parser's message
+    with pytest.raises(ShapeError,
+                       match=r"^element count must be positive, got 0$"):
+        FiniteBiquandle((), ())
+
+
 def copy_of(x):
     """An equal biquandle built from tables that share no tuple with x's."""
     return FiniteBiquandle(tuple([tuple(list(row)) for row in x.under_table]),
