@@ -24,14 +24,13 @@ pair families from the two R2 variants).  Each family is written once:
 :func:`triple_slots` the index placement of (9)-(23) forced by invariance,
 and :func:`triple_residuals` their terms; the verifier and the search both
 read these, and :func:`triple_cells` turns the placement into flat cell
-indices once per biquandle for both.  Which families fail at one pair or
+indices once per biquandle for both.  Which families fail at one row or
 triple instance is a pure function of m, delta and the coefficients it
-reads, so :func:`verify_bracket_axioms` memoizes the tuple of failing
-family names on exactly those values, in three bounded memos: one per
-coefficient row (its diagonal and pair failures and its packed (A, B, V)
-cells, so a bracket costs n row lookups), one per pair instance, read when
-a row is first seen, and one per triple instance, looked up with one flat
-key of six ints per triple.  A bracket gets the same report whatever was
+reads, so :func:`verify_bracket_axioms` memoizes the failing family names
+on exactly those values in two bounded memos: one per coefficient row, so a
+bracket costs n row lookups, and one per triple instance, keyed on six
+cells packed by :func:`pack_abv`, which the search reads too
+(:func:`triple_verdicts`).  A bracket gets the same report whatever was
 checked before it, and an instance, clean or dirty, is evaluated once while
 its entry is held.
 
@@ -58,7 +57,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
 from .coloring import _PLANS, counting_matrix, diagram_plans, iter_colorings
@@ -261,26 +260,33 @@ _PAIR_FAMILIES = tuple(str(k) for k in range(3, 9))
 _TRIPLE_FAMILIES = tuple(str(k) for k in range(9, 24))
 
 
+def pack_abv(m: int, a: int, b: int, v: int) -> int:
+    """The (A, B, V) at one pair as one int, (A * m + B) * m + V reduced mod
+    m: all that the triple families read mod m."""
+    return (a % m * m + b % m) * m + v % m
+
+
 @lru_cache(maxsize=8)
-def triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...],
-                                                   tuple[int, ...],
-                                                   itemgetter], ...]:
-    """Per element triple, in lexicographic order: its 1-based witness, the
-    six cells i * n + j of :func:`triple_slots` in a flat n * n list, and a
-    getter of those cells.  Cached on the biquandle's value: its tables, not
-    only its size, decide the cells."""
+def triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...], ...],
+                                              tuple[tuple[int, ...], ...],
+                                              itemgetter]:
+    """The slot table of the triple families: per element triple, in
+    lexicographic order, its 1-based witness and the six cells i * n + j of
+    :func:`triple_slots` in a flat n * n list, and one getter of all those
+    cells in turn.  Cached on the biquandle's value: its tables, not only its
+    size, decide the cells."""
     n = x.n
-    table = []
-    for a, b, c in itertools.product(range(n), repeat=3):
-        cells = tuple([i * n + j for i, j in triple_slots(x, a, b, c)])
-        table.append(((a + 1, b + 1, c + 1), cells, itemgetter(*cells)))
-    return tuple(table)
+    triples = list(itertools.product(range(n), repeat=3))
+    cells = tuple([tuple([i * n + j for i, j in triple_slots(x, *t)])
+                   for t in triples])
+    witnesses = tuple([(a + 1, b + 1, c + 1) for a, b, c in triples])
+    return witnesses, cells, itemgetter(*itertools.chain.from_iterable(cells))
 
 
-# Each memo holds at most _MEMO_SIZE entries, read at call time: the 19,456
-# brackets of the reference search have 1,728 distinct rows (with their m,
-# delta and omega), 36 distinct pair instances and 4,432 distinct triple
-# instances.
+# Each memo holds at most _MEMO_SIZE entries, read at call time.  The
+# reference search's 19,456 brackets have 1,728 distinct rows (with their m,
+# delta and omega); its node checks and brackets read 14,680 distinct triple
+# instances, so the triple memo is emptied once during it.
 _MEMO_SIZE = 1 << 13
 
 
@@ -310,7 +316,8 @@ class _Memo:
 
 class _MemoPart(dict):
     """The entries of one :class:`_Memo` that share its parameters; a missing
-    key is evaluated once and stored."""
+    key is evaluated once and stored.  A part that empties its memo stays in
+    it, so a caller may hold the part across the emptying."""
 
     __slots__ = ("memo", "params")
 
@@ -329,18 +336,10 @@ class _MemoPart(dict):
         return value
 
 
-def _pair_failures(m: int, delta: int, cell: tuple[int, ...]) -> tuple[str, ...]:
-    """The families of (3)-(8) that fail mod m for the coefficients
-    (A, B, V, C, D, U) at one pair."""
-    vals = pair_residuals(delta, *cell)
-    return tuple([key for key, val in zip(_PAIR_FAMILIES, vals) if val % m])
-
-
 def _triple_failures(m: int, delta: int,
                      codes: tuple[int, ...]) -> tuple[str, ...]:
     """The families of (9)-(23) that fail mod m at one element triple, for
-    its six (A, B, V) cells each packed as (A * m + B) * m + V with A, B, V
-    in range(m)."""
+    its six (A, B, V) cells each packed by :func:`pack_abv`."""
     vals = triple_residuals(
         delta, *[(c // m // m, c // m % m, c % m) for c in codes])
     return tuple([key for key, val in zip(_TRIPLE_FAMILIES, vals) if val % m])
@@ -349,37 +348,31 @@ def _triple_failures(m: int, delta: int,
 def _row_failures(m: int, delta: int, omega: int, key: tuple) -> tuple:
     """For ``key`` = (a, the six coefficient rows A[a], ..., U[a]): the
     failures of (1)-(2) at (a, a) and of (3)-(8) at each (a, b), with their
-    1-based witnesses, and the row's (A, B, V) cells packed for
-    :func:`_triple_failures`.  Each pair instance goes through the pair memo.
-    """
+    1-based witnesses, and the row's (A, B, V) cells packed by
+    :func:`pack_abv`."""
     a, rows = key
     cells = list(zip(*rows))                    # (A, B, V, C, D, U) at (a, b)
     vals = diagonal_residuals(delta, omega, *cells[a])
     diagonal = tuple([(k, (a + 1,)) for k, val in zip(("1", "2"), vals)
                       if val % m])
-    pairs = _PAIR_MEMO.part(m, delta)
     failed = tuple([(k, (a + 1, b + 1)) for b, cell in enumerate(cells)
-                    for k in pairs[cell]])
-    # the residuals mod m read the coefficients only mod m, so packing the
-    # reduced (A, B, V) of a cell into one int keeps everything the triple
-    # families read, and a triple's memo key is six small ints
-    codes = tuple([(A % m * m + B % m) * m + V % m for A, B, V, *_ in cells])
+                    for k, val in zip(_PAIR_FAMILIES,
+                                      pair_residuals(delta, *cell))
+                    if val % m])
+    codes = tuple([pack_abv(m, *cell[:3]) for cell in cells])
     return diagonal, failed, codes
 
 
-_PAIR_MEMO = _Memo(_pair_failures)
 _TRIPLE_MEMO = _Memo(_triple_failures)
 _ROW_MEMO = _Memo(_row_failures)
 
 
-@lru_cache(maxsize=8)
-def _triple_keys(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...], ...],
-                                               Callable]:
-    """The witnesses of :func:`triple_cells` in order, and one getter of all
-    their cells in turn: six per triple, from a flat n * n list."""
-    table = triple_cells(x)
-    flat = [cell for _, cells, _ in table for cell in cells]
-    return tuple([witness for witness, _, _ in table]), itemgetter(*flat)
+def triple_verdicts(m: int, delta: int) -> _MemoPart:
+    """The verifier's triple memo for m and delta: indexed by the six cells
+    of a triple instance (:func:`triple_cells`) packed by :func:`pack_abv`,
+    it gives the families of (9)-(23) that fail there.  It stays valid when
+    the memo is emptied."""
+    return _TRIPLE_MEMO.part(m, delta)
 
 
 def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
@@ -387,22 +380,21 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     with a witness tuple of 1-based element indices, (1)-(2) first, then
     (3)-(8) by pair, then (9)-(23) by triple.
 
-    Three bounded memos hold what the verdicts read: per coefficient row,
-    on (m, delta, omega, a, the six rows at a), its failures of (1)-(8) and
-    its packed (A, B, V) cells; per pair, on (m, delta, its coefficients),
-    the failures of (3)-(8), consulted when a row is first seen; and per
-    triple, on (m, delta, its six packed cells), the failures of (9)-(23).
-    So an instance is evaluated at most once while its entry is held, and
+    Two bounded memos hold what the verdicts read: per coefficient row, on
+    (m, delta, omega, a, the six rows at a), its failures of (1)-(8) and its
+    packed (A, B, V) cells; and per triple, on (m, delta, its six packed
+    cells), the failures of (9)-(23) (:func:`triple_verdicts`).  So a row or
+    a triple instance is evaluated at most once while its entry is held, and
     the report is the same as without the memos."""
     m, d = br.modulus.m, br.delta
     rows = list(map(_ROW_MEMO.part(m, d, br.omega).__getitem__,
                     enumerate(zip(br.A, br.B, br.V, br.C, br.D, br.U))))
     bad = [v for diagonal, _, _ in rows for v in diagonal]
     bad += [v for _, failed, _ in rows for v in failed]
-    witnesses, get = _triple_keys(br.biquandle)
+    witnesses, _, get = triple_cells(br.biquandle)
     flat = get([code for _, _, codes in rows for code in codes])
     # cut into one key of six packed cells per triple
-    failed = list(map(_TRIPLE_MEMO.part(m, d).__getitem__,
+    failed = list(map(triple_verdicts(m, d).__getitem__,
                       zip(*[iter(flat)] * 6)))
     if any(failed):
         bad += [(key, witness) for witness, keys in zip(witnesses, failed)

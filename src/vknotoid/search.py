@@ -1,35 +1,35 @@
 """Search for valid virtual brackets over prime fields.
 
 The pair equations (3)-(8) determine (C, D, U) from (A, B, V) at each pair,
-which collapses the search to the A/B/V side.  Per delta, one list holds
+which collapses the search to the A/B/V side.  Per delta, one dict holds
 every (A, B, V) with its solution (C, D, U) (:func:`pair_solutions`, which
 tries O(p^2) triples), and every candidate set is a filter of it: the
 diagonal cells take the entries satisfying (1)-(2) for the omega that (1)
 gives them, the off-diagonal cells every entry (full ansatz) or those with
 A = B = 0 (diagonal ansatz, so C = D = 0 and U = V^{-1} there, the shape of
-the known small examples).  A candidate is its index in that list.
+the known small examples).  A candidate is its key there, the (A, B, V)
+packed into one int by :func:`~vknotoid.bracket.pack_abv`.
 
-The assignment holds one candidate id per cell i * n + j.  One loop assigns
+The assignment holds one candidate per cell i * n + j.  One loop assigns
 the diagonal cells, then the off-diagonal ones in a seeded order, keeping
 per depth an iterator over the candidates left on an explicit stack, so no
 recursion limit bounds n.  omega is read off the candidate at cell 0 and
 never searched.  A triple's equations (9)-(23) are checked once its six
-cells are assigned.  Those cells and their getter come from the verifier's
-table (:func:`~vknotoid.bracket.triple_cells`) and the equations are the
-verifier's own too, so the search and the final check cannot disagree on
-what a bracket is.  With delta fixed, a check reads nothing but its six
-candidates, so its outcome is memoized per delta on their ids; the memo
-changes no node, no bracket and no order of the tree.  Every candidate that
-completes is passed to a fresh :func:`~vknotoid.bracket.verify_bracket_axioms`
-call before being reported.  That verifier memoizes the failing families of
-each instance on m, delta and the coefficients it reads, so it shares
-nothing with the search's memo: the reference search's 19,456 brackets read
-525,312 triple instances, of which 4,432 are distinct.  It also memoizes
-whole coefficient rows on their values, and the found brackets share their
-rows (below), so it looks up n rows per bracket, not n^2 pairs.
+cells are assigned.  Those cells come from the verifier's table
+(:func:`~vknotoid.bracket.triple_cells`), and their six candidates are the
+verifier's key of that triple instance, so a check is a lookup in the
+verifier's triple memo (:func:`~vknotoid.bracket.triple_verdicts`): a
+non-empty verdict fails.  Every candidate that completes is passed to
+:func:`~vknotoid.bracket.verify_bracket_axioms` before being reported, and
+finds its triple verdicts held.  So the search and the final check share
+one definition and one cache of what a bracket is: the reference search
+(``z3_involution``, p = 5, diagonal ansatz, seed 1) evaluates 15,287 triple
+instances, 14,680 of them distinct.  The verifier also memoizes whole
+coefficient rows, and the found brackets share their rows (below), so it
+looks up n rows per bracket, not n^2 pairs.
 
 Found brackets share their immutable rows and tables.  Per delta, each
-distinct coefficient row is built once, keyed on the candidate ids of its
+distinct coefficient row is built once, keyed on the candidates of its
 n cells (:class:`_Rows`), and every distinct row or table value is one
 tuple for the whole call, so a result grows with its distinct values, not
 with its solutions:
@@ -51,8 +51,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .biquandle import FiniteBiquandle
-from .bracket import (VirtualBracket, diagonal_residuals, pair_residuals,
-                      triple_cells, triple_residuals, verify_bracket_axioms)
+from .bracket import (VirtualBracket, diagonal_residuals, pack_abv,
+                      pair_residuals, triple_cells, triple_verdicts,
+                      verify_bracket_axioms)
 from .ring import Modulus
 
 
@@ -70,7 +71,7 @@ class SearchConfig:
         if self.ansatz not in ("diagonal", "full"):
             raise ValueError("ansatz must be 'diagonal' or 'full'")
         p = self.modulus
-        if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+        if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
             raise ValueError("modulus must be prime, got %d" % p)
 
 
@@ -129,17 +130,17 @@ def pair_solutions(delta: int, p: int) -> list[tuple[int, ...]]:
 
 
 class _Rows(dict):
-    """Per delta: the candidate ids of a row's n cells -> the row of each of
-    the six tables that they give, built once, each row interned in
+    """Per delta: the candidates of a row's n cells -> the row of each of the
+    six tables that they give, built once, each row interned in
     ``shared``."""
 
-    def __init__(self, sols: list[tuple[int, ...]], shared: dict) -> None:
+    def __init__(self, sols: dict[int, tuple[int, ...]], shared: dict) -> None:
         super().__init__()
         self.sols, self.shared = sols, shared
 
-    def __missing__(self, ids: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        six = self[ids] = tuple([self.shared.setdefault(row, row) for row in
-                                 zip(*map(self.sols.__getitem__, ids))])
+    def __missing__(self, codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        six = self[codes] = tuple([self.shared.setdefault(row, row) for row in
+                                   zip(*map(self.sols.__getitem__, codes))])
         return six
 
 
@@ -159,10 +160,11 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     order = [i * n + i for i in range(n)] + off_cells
     depth_of = {cell: depth for depth, cell in enumerate(order)}
     # a triple's equations become checkable once its deepest cell is
-    # assigned; each check reads the candidate ids at its six cells
+    # assigned; each check reads the candidates at its six cells
     checks_at: list[list[itemgetter]] = [[] for _ in order]
-    for _, cells, get in triple_cells(x):
-        checks_at[max(map(depth_of.__getitem__, cells))].append(get)
+    for cells in triple_cells(x)[1]:
+        checks_at[max(map(depth_of.__getitem__, cells))].append(
+            itemgetter(*cells))
     last = len(order)
     modulus = Modulus(p)
     # found brackets share their rows and tables: each distinct row or table
@@ -178,28 +180,27 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     for delta in deltas:
         if cfg.require_delta_unit and math.gcd(delta, p) != 1:
             continue
-        # candidate id k stands for the pair solution sols[k]; each candidate
-        # list below is a filter of range(len(sols)), in its order
-        sols = pair_solutions(delta, p)
-        off_cands = range(len(sols)) if cfg.ansatz == "full" \
-            else [k for k, sol in enumerate(sols) if sol[0] == sol[1] == 0]
+        # candidate k is the packed (A, B, V) of the pair solution sols[k];
+        # each candidate list below is a filter of sols, in its order
+        sols = {pack_abv(p, *sol[:3]): sol for sol in pair_solutions(delta, p)}
+        off_cands = list(sols) if cfg.ansatz == "full" \
+            else [k for k, sol in sols.items() if sol[0] == sol[1] == 0]
         # diagonal candidates carry the omega that (1) gives them; cell 0
         # takes them all and fixes omega, the later diagonal cells keep only
         # the candidates with that omega, in the same order
-        omegas = [(delta * sol[0] + sol[1] + sol[2]) % p for sol in sols]
+        omegas: dict[int, int] = {}
         diag_cands: list[int] = []
         by_omega: dict[int, list[int]] = {}
-        for k, (sol, w) in enumerate(zip(sols, omegas)):
+        for k, sol in sols.items():
+            w = omegas[k] = (delta * sol[0] + sol[1] + sol[2]) % p
             if math.gcd(w, p) == 1 and not any(
                     r % p for r in diagonal_residuals(delta, w, *sol)):
                 diag_cands.append(k)
                 by_omega.setdefault(w, []).append(k)
-        # with delta fixed, a triple check reads only the (A, B, V) of its six
-        # candidates, so its outcome is memoized on their ids for this delta
-        memo: dict[tuple[int, ...], bool] = {}
+        verdicts = triple_verdicts(p, delta)
         rows = _Rows(sols, shared)
-        # the candidate id at each cell; cells deeper than the current depth
-        # hold stale ids that no check reads
+        # the candidate at each cell; cells deeper than the current depth
+        # hold stale candidates that no check reads
         assign = [0] * last
         # stack[depth] iterates the candidates still to try at order[depth]
         stack = [iter(diag_cands)]
@@ -213,12 +214,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                 nodes += 1
                 assign[cell] = cand
                 for check in checks:
-                    key = check(assign)
-                    ok = memo.get(key)
-                    if ok is None:
-                        ok = memo[key] = not any(r % p for r in triple_residuals(
-                            delta, *[sols[k][:3] for k in key]))
-                    if not ok:
+                    if verdicts[check(assign)]:         # a family fails
                         break
                 else:
                     if depth + 1 < last:
@@ -226,7 +222,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                             off_cands if depth + 1 >= n
                             else by_omega[omegas[assign[0]]]))
                         break                   # go on at the next cell
-                    # the candidate ids of each row's n cells give its six
+                    # the candidates of each row's n cells give its six
                     # coefficient rows, which give the six tables
                     tables = tuple(zip(*map(rows.__getitem__,
                                             zip(*[iter(assign)] * n))))

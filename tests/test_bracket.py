@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from vknotoid import bracket
+from vknotoid import bracket, search
 from vknotoid.bracket import (BracketError, ColoringMismatch, State,
                               VirtualBracket,
                               bracket_matrix, bracket_multiset,
@@ -115,7 +115,7 @@ def test_violations_are_frozen(z5_bracket, z37_bracket):
 
 # -- the verifier's memo -------------------------------------------------------------
 
-VERIFIER_MEMOS = (bracket._ROW_MEMO, bracket._PAIR_MEMO, bracket._TRIPLE_MEMO)
+VERIFIER_MEMOS = (bracket._ROW_MEMO, bracket._TRIPLE_MEMO)
 
 
 def plain_report(br):
@@ -215,23 +215,35 @@ def test_verifier_memo_gives_the_same_reports_cold_and_warm(z5_bracket,
 
 
 def test_verifier_evaluates_each_instance_once(monkeypatch, z5_bracket):
-    # a dirty instance is evaluated once too: its memo entry holds the
-    # failing families that the report names
-    calls = Counter()
+    # a dirty row or triple instance is evaluated once too: its memo entry
+    # holds the failing families that the report names.  Pair instances are
+    # evaluated only when their row is first seen, n per row
+    triples, rows = Counter(), Counter()
+    pairs = 0
 
-    def counting(residuals):
-        def count(delta, *cells):
-            calls[residuals.__name__, delta, cells] += 1
-            return residuals(delta, *cells)
-        return count
+    def count_triple(delta, *cells):
+        triples[delta, cells] += 1
+        return triple_residuals(delta, *cells)
 
-    for residuals in (pair_residuals, triple_residuals):
-        monkeypatch.setattr(bracket, residuals.__name__, counting(residuals))
+    def count_pair(*args):
+        nonlocal pairs
+        pairs += 1
+        return pair_residuals(*args)
+
+    def count_row(*args):
+        rows[args] += 1
+        return row_failures(*args)
+
+    row_failures = bracket._ROW_MEMO.fill
+    monkeypatch.setattr(bracket, "triple_residuals", count_triple)
+    monkeypatch.setattr(bracket, "pair_residuals", count_pair)
+    monkeypatch.setattr(bracket._ROW_MEMO, "fill", count_row)
     tables = [z5_bracket, *single_entry_mutations(z5_bracket, 60, seed=2)]
     clear_verifier_memo()
     reports = [verify_bracket_axioms(br) for br in tables]
     assert sum(not r.passed for r in reports) > 20
-    assert max(calls.values()) == 1
+    assert max(triples.values()) == max(rows.values()) == 1
+    assert pairs == z5_bracket.biquandle.n * len(rows)
     assert reports == [plain_report(br) for br in tables]
 
 
@@ -291,26 +303,59 @@ def memo_entries(memo):
     return sum(map(len, memo.parts.values()))
 
 
-def test_verifier_memos_stay_bounded(monkeypatch, z5_bracket, z3_full_search):
+def test_verifier_memos_stay_bounded(monkeypatch, z3_involution, z5_bracket,
+                                     z3_full_search):
     # with a bound far below the distinct instances, every memo overflows
-    # and is emptied again, yet holds at most the bound and changes no report
+    # and is emptied again, yet holds at most the bound and changes no
+    # report; a search filling the triple memo is held to the bound too
     bound = 16
     monkeypatch.setattr(bracket, "_MEMO_SIZE", bound)
-    tables = [*z3_full_search, z5_bracket,
-              *single_entry_mutations(z5_bracket, 100, seed=3)]
-    clear_verifier_memo()
     held = dict.fromkeys(VERIFIER_MEMOS, 0)
     emptied = set()
-    for br in tables:
-        assert verify_bracket_axioms(br) == plain_report(br)
+
+    def check_bounds():
         for memo in VERIFIER_MEMOS:
-            entries = sum(map(len, memo.parts.values()))
+            entries = memo_entries(memo)
             assert entries == memo.size <= bound
             assert len(memo.parts) <= bound
             if entries < held[memo]:
                 emptied.add(memo)
             held[memo] = entries
+
+    def bounded_verify(br):
+        check_bounds()
+        return verify_bracket_axioms(br)
+
+    tables = [*z3_full_search, z5_bracket,
+              *single_entry_mutations(z5_bracket, 100, seed=3)]
+    clear_verifier_memo()
+    for br in tables:
+        assert verify_bracket_axioms(br) == plain_report(br)
+        check_bounds()
     assert emptied == set(VERIFIER_MEMOS)
+    emptied.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "verify_bracket_axioms", bounded_verify)
+        result = search_brackets(z3_involution,
+                                 SearchConfig(3, "diagonal", seed=42))
+    check_bounds()
+    assert (len(result.brackets), result.nodes) == (288, 1466)
+    assert bracket._TRIPLE_MEMO in emptied
+
+
+def test_reports_do_not_depend_on_who_filled_the_memo(z3_involution):
+    # the search leaves verdicts, clean and failing, in the triple memo of
+    # each (p, delta); reports on brackets that read them equal the oracle
+    clear_verifier_memo()
+    found = search_brackets(z3_involution,
+                            SearchConfig(3, "diagonal", seed=42)).brackets
+    assert any(any(part.values())
+               for part in bracket._TRIPLE_MEMO.parts.values())
+    tables = [mutated for k, br in enumerate(found[::24])
+              for mutated in single_entry_mutations(br, 10, seed=k)]
+    reports = [verify_bracket_axioms(br) for br in tables]
+    assert sum(not r.passed for r in reports) > 20
+    assert reports == [plain_report(br) for br in tables]
 
 
 @pytest.mark.parametrize("letter", "ABVCDU")

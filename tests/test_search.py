@@ -131,7 +131,7 @@ def test_the_interned_rows_and_tables_go_with_the_result(z3_involution,
     # the result is dropped and the verifier's memos cleared, traced memory
     # is back at its level before the search
     verify_bracket_axioms(z5_bracket)       # caches the biquandle's slot table
-    memos = (bracket._ROW_MEMO, bracket._PAIR_MEMO, bracket._TRIPLE_MEMO)
+    memos = (bracket._ROW_MEMO, bracket._TRIPLE_MEMO)
     tracemalloc.start()
     try:
         for memo in memos:
@@ -390,12 +390,13 @@ ORACLE_CONFIGS = (
        for budget in (1, 7, 20, 500)])
 
 
-@pytest.mark.parametrize(
-    "name, cfg", ORACLE_CONFIGS,
-    ids=["%s-p%d-%s-seed%d-budget%d%s" % (name, c.modulus, c.ansatz, c.seed,
-                                          c.budget,
-                                          "-unit" if c.require_delta_unit else "")
-         for name, c in ORACLE_CONFIGS])
+ORACLE_IDS = ["%s-p%d-%s-seed%d-budget%d%s"
+              % (name, c.modulus, c.ansatz, c.seed, c.budget,
+                 "-unit" if c.require_delta_unit else "")
+              for name, c in ORACLE_CONFIGS]
+
+
+@pytest.mark.parametrize("name, cfg", ORACLE_CONFIGS, ids=ORACLE_IDS)
 def test_search_matches_unmemoized_oracle(name, cfg):
     x = FiniteBiquandle(((0,),), ((0,),)) if name == "singleton" \
         else load_biquandle(name)
@@ -404,3 +405,14 @@ def test_search_matches_unmemoized_oracle(name, cfg):
     assert (got.nodes, got.exhausted) == (want.nodes, want.exhausted)
     assert [render_bracket(b) for b in got.brackets] \
         == [render_bracket(b) for b in want.brackets]
+
+
+@pytest.mark.parametrize(
+    "name, cfg", [ORACLE_CONFIGS[k] for k in (7, 13, 14, 22, 31)],
+    ids=[ORACLE_IDS[k] for k in (7, 13, 14, 22, 31)])
+def test_search_survives_an_emptied_memo(monkeypatch, name, cfg):
+    # with the verifier's memos bounded at 16 entries, the triple memo the
+    # search checks through is emptied many times within one delta while
+    # the search holds its part; the tree and the brackets stay the same
+    monkeypatch.setattr(bracket, "_MEMO_SIZE", 16)
+    test_search_matches_unmemoized_oracle(name, cfg)
