@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .ring import (Modulus, RingElement, BracketPolynomial, inverse,
-                   poly_add, poly_render, poly_parse,
-                   ModulusMismatch, NotAUnit)
+from .ring import (Modulus, BracketPolynomial, poly_render, poly_parse,
+                   NotAUnit)
 from .biquandle import (FiniteBiquandle, AxiomReport, alexander_biquandle,
                         parse_operation_matrix, render_operation_matrix,
                         verify_biquandle_axioms,

@@ -187,7 +187,7 @@ def render_operation_matrix(x: FiniteBiquandle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def alexander_biquandle(modulus: Modulus | int, t: int, r: int,
+def alexander_biquandle(modulus: int, t: int, r: int,
                         shift_under: int = 0,
                         shift_over: int = 0) -> FiniteBiquandle:
     """Affine biquandle on Z_m: x under y = t*x + (r-t)*y + shift_under and
@@ -198,7 +198,7 @@ def alexander_biquandle(modulus: Modulus | int, t: int, r: int,
     :func:`verify_biquandle_axioms`, not assumed here.  Element index i
     stands for the residue i+1, so residue 0 is the last element.
     """
-    m = modulus.m if isinstance(modulus, Modulus) else Modulus(modulus).m
+    m = Modulus(modulus).m
     for name, val in (("t", t), ("r", r)):
         if math.gcd(val, m) != 1:
             raise NotAUnit("%s=%d is not a unit mod %d" % (name, val, m))

@@ -63,7 +63,7 @@ from .biquandle import AxiomReport, FiniteBiquandle
 from .coloring import _PLANS, counting_matrix, diagram_plans, iter_colorings
 from .diagram import (Crossing, KnotoidDiagram, crossing_relations,
                       relation_holds, writhe)
-from .ring import BracketPolynomial, Modulus, RingElement, NotAUnit
+from .ring import BracketPolynomial, Modulus, NotAUnit
 
 Table = tuple[tuple[int, ...], ...]
 ABV = tuple[int, int, int]          # the (A, B, V) coefficients at one pair
@@ -149,7 +149,7 @@ def parse_bracket(text: str, biquandle: FiniteBiquandle) -> VirtualBracket:
     head = lines[0].split()
     if len(head) != 2:
         raise BracketError("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _ints(head, "header")
     if m < 2:
         raise BracketError("modulus must be >= 2, got %d" % m)
     if n != biquandle.n:
@@ -159,7 +159,7 @@ def parse_bracket(text: str, biquandle: FiniteBiquandle) -> VirtualBracket:
         raise BracketError("expected %d coefficient rows" % n)
     blocks: list[list[list[int]]] = [[] for _ in range(6)]
     for ln in lines[1:n + 1]:
-        row = [int(tok) for tok in ln.split()]
+        row = _ints(ln.split(), "coefficient entry")
         if len(row) != 6 * n:
             raise BracketError("row of length %d, expected %d" % (len(row), 6 * n))
         for b in range(6):
@@ -167,9 +167,18 @@ def parse_bracket(text: str, biquandle: FiniteBiquandle) -> VirtualBracket:
     tail = lines[n + 1].split()
     if len(tail) != 4 or tail[0] != "delta" or tail[2] != "omega":
         raise BracketError("final line must be 'delta <int> omega <int>'")
+    delta, = _ints(tail[1:2], "delta")
+    omega, = _ints(tail[3:], "omega")
     tables = tuple(tuple(tuple(r) for r in blk) for blk in blocks)
     return VirtualBracket(biquandle, Modulus(m), *tables,
-                          delta=int(tail[1]), omega=int(tail[3]))
+                          delta=delta, omega=omega)
+
+
+def _ints(tokens: list[str], what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise BracketError("non-integer %s" % what) from exc
 
 
 def render_bracket(br: VirtualBracket) -> str:
@@ -578,10 +587,10 @@ def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
 
 
 def evaluate(diagram: KnotoidDiagram, coloring: tuple[int, ...],
-             br: VirtualBracket) -> RingElement:
-    """State-sum value of one colored diagram."""
+             br: VirtualBracket) -> int:
+    """State-sum value of one colored diagram, in range(m)."""
     _check_coloring(diagram, coloring, br.biquandle)
-    return br.modulus.element(_evaluator(_plan(diagram), br)(coloring))
+    return _evaluator(_plan(diagram), br)(coloring)
 
 
 class Invariants(NamedTuple):
@@ -725,8 +734,9 @@ def render_symbolic(sym: SymbolicBracket) -> str:
 
 
 def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],
-                      br: VirtualBracket) -> RingElement:
-    """Substitute a concrete coloring and bracket into the symbolic sum."""
+                      br: VirtualBracket) -> int:
+    """Substitute a concrete coloring and bracket into the symbolic sum; the
+    value is in range(m)."""
     m = br.modulus.m
     total = 0
     for t in sym.terms:
@@ -736,4 +746,4 @@ def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],
         total = (total + prod) % m
     # all terms share the same omega exponent (-writhe)
     oexp = sym.terms[0].omega_exp if sym.terms else 0
-    return br.modulus.element(total * pow(br.omega, oexp, m))
+    return total * pow(br.omega, oexp, m) % m

@@ -84,7 +84,7 @@ def _load_diagram(path: str) -> KnotoidDiagram:
 def _load_bracket(path: str, x: FiniteBiquandle) -> VirtualBracket:
     try:
         return parse_bracket(_read(path), x)
-    except (BracketError, RingError, ValueError) as exc:
+    except (BracketError, RingError) as exc:
         raise CliExit("bad bracket file %s: %s" % (path, exc))
 
 

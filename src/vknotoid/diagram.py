@@ -204,7 +204,8 @@ def parse_diagram(text: str, name: str = "") -> KnotoidDiagram:
         name <identifier>
         code <token>(,<token>)*      (or "code -" for the trivial diagram)
 
-    or a bare comma-separated token list (possibly empty).
+    with each line at most once and the code line required, or a bare
+    comma-separated token list (possibly empty).
 
     Memoized on the text and name, so a process that reads a file again
     parses it once; the diagram is immutable, so every caller may share it.
@@ -214,18 +215,18 @@ def parse_diagram(text: str, name: str = "") -> KnotoidDiagram:
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]
     if any(ln.split()[0] in ("name", "code") for ln in lines):
-        got_name, code = name, None
+        fields: dict[str, str] = {}
         for ln in lines:
             head, _, rest = ln.partition(" ")
-            if head == "name":
-                got_name = rest.strip()
-            elif head == "code":
-                code = rest.strip()
-            else:
+            if head not in ("name", "code"):
                 raise DiagramSyntaxError("unexpected line %r" % ln)
-        if code is None:
+            if head in fields:
+                raise DiagramSyntaxError("repeated %s line" % head)
+            fields[head] = rest.strip()
+        if "code" not in fields:
             raise DiagramSyntaxError("missing code line")
-        return KnotoidDiagram(got_name, _parse_tokens(code))
+        return KnotoidDiagram(fields.get("name", name),
+                              _parse_tokens(fields["code"]))
     return KnotoidDiagram(name, _parse_tokens(",".join(lines)))
 
 

@@ -1,5 +1,8 @@
-"""Exact arithmetic over Z_m and the formal u-exponent polynomials used by the
-bracket invariants.
+"""Moduli and the formal u-exponent polynomials used by the bracket invariants.
+
+Residues of Z_m are plain ints in range(m); a :class:`Modulus` only names
+and checks m.  A :class:`BracketPolynomial` is a multiset of such residues,
+written as a sum of u^r terms.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -15,12 +18,8 @@ class RingError(Exception):
     """Base class for ring related failures."""
 
 
-class ModulusMismatch(RingError):
-    """Arithmetic between elements of different moduli."""
-
-
 class NotAUnit(RingError):
-    """Inversion of an element that has no multiplicative inverse."""
+    """A parameter that must be a unit mod m has no multiplicative inverse."""
 
 
 @dataclass(frozen=True)
@@ -30,66 +29,6 @@ class Modulus:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError("modulus must be >= 2, got %d" % self.m)
-
-    def element(self, value: int) -> "RingElement":
-        return RingElement(value % self.m, self)
-
-    def __str__(self) -> str:
-        return "Z_%d" % self.m
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """A residue in Z_m.  Mixed-modulus arithmetic is rejected."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.m:
-            object.__setattr__(self, "value", self.value % self.modulus.m)
-
-    def _coerce(self, other: "RingElement | int") -> "RingElement":
-        if isinstance(other, int):
-            return self.modulus.element(other)
-        if other.modulus.m != self.modulus.m:
-            raise ModulusMismatch(
-                "mixed moduli: %s vs %s" % (self.modulus, other.modulus))
-        return other
-
-    def __add__(self, other: "RingElement | int") -> "RingElement":
-        o = self._coerce(other)
-        return self.modulus.element(self.value + o.value)
-
-    def __sub__(self, other: "RingElement | int") -> "RingElement":
-        o = self._coerce(other)
-        return self.modulus.element(self.value - o.value)
-
-    def __mul__(self, other: "RingElement | int") -> "RingElement":
-        o = self._coerce(other)
-        return self.modulus.element(self.value * o.value)
-
-    def __neg__(self) -> "RingElement":
-        return self.modulus.element(-self.value)
-
-    def __pow__(self, k: int) -> "RingElement":
-        if k < 0:
-            return inverse(self) ** (-k)
-        return self.modulus.element(pow(self.value, k, self.modulus.m))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return "%d (mod %d)" % (self.value, self.modulus.m)
-
-
-def inverse(a: RingElement) -> RingElement:
-    """Multiplicative inverse in Z_m; raises NotAUnit when gcd(a, m) != 1."""
-    try:
-        return a.modulus.element(pow(a.value, -1, a.modulus.m))
-    except ValueError:
-        raise NotAUnit("%s is not a unit" % a) from None
 
 
 @dataclass(frozen=True)
@@ -126,16 +65,6 @@ class BracketPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-
-def poly_add(p: BracketPolynomial, q: BracketPolynomial) -> BracketPolynomial:
-    """Termwise multiplicity sum; result is canonical (no zero terms)."""
-    if p.modulus.m != q.modulus.m:
-        raise ModulusMismatch("polynomials over %s and %s" % (p.modulus, q.modulus))
-    acc = p.as_dict()
-    for e, mult in q.terms:
-        acc[e] = acc.get(e, 0) + mult
-    return BracketPolynomial.from_dict(p.modulus, acc)
 
 
 def poly_render(p: BracketPolynomial) -> str:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -388,6 +389,17 @@ def test_bracket_omega_must_be_a_unit(z5_bracket):
     assert dataclasses.replace(z5_bracket, omega=9).omega == 4
 
 
+@pytest.mark.parametrize("row, number, field", [
+    (0, r"\d+$", "header"), (1, r"^\d+", "coefficient entry"),
+    (-1, r"(?<=delta )\d+", "delta"), (-1, r"\d+$", "omega")])
+def test_a_non_integer_bracket_field_is_named(z3_involution, z5_bracket,
+                                              row, number, field):
+    lines = render_bracket(z5_bracket).splitlines()
+    lines[row] = re.sub(number, "x", lines[row], count=1)
+    with pytest.raises(BracketError, match=r"^non-integer %s$" % field):
+        parse_bracket("\n".join(lines), z3_involution)
+
+
 def biquandle_mutations(x, count, seed=0):
     """Tables differing from ``x`` in one entry of one operation, or, every
     other one, in two entries of one column swapped: that keeps the column
@@ -529,7 +541,7 @@ def test_components_match_naive_oracle(corpus):
 def test_trivial_diagram_evaluates_to_delta(z3_involution, z5_bracket):
     trivial = parse_diagram("")
     for i in range(3):
-        assert evaluate(trivial, (i,), z5_bracket).value == z5_bracket.delta
+        assert evaluate(trivial, (i,), z5_bracket) == z5_bracket.delta
     # n copies of delta; matrix is u^delta times the identity
     assert bracket_multiset(trivial, z3_involution, z5_bracket) \
         == {z5_bracket.delta: 3}
@@ -543,7 +555,7 @@ def test_worked_value_of_2_1_1(corpus, z5_bracket):
     # coloring: odd semi-arcs -> element 3 (index 2), even -> element 1 (index 0)
     d = corpus["2.1.1"]
     val = evaluate(d, (2, 0, 2, 0, 2), z5_bracket)
-    assert val.value == 3
+    assert val == 3
     # hand check: 16 * (4*0 + 2*(3*3)) = 288 = 3 mod 5
     assert 16 * (4 * 0 + 2 * 9) % 5 == 3
 
@@ -714,5 +726,4 @@ def test_symbolic_agrees_with_concrete(corpus, z3_involution, z3_shift,
         sym = fundamental_bracket(d)
         for x, br in ((z3_involution, z5_bracket), (z3_shift, z37_bracket)):
             for f in enumerate_colorings(d, x):
-                assert evaluate_symbolic(sym, f, br).value \
-                    == evaluate(d, f, br).value
+                assert evaluate_symbolic(sym, f, br) == evaluate(d, f, br)

@@ -335,6 +335,20 @@ def test_bracket_omega_not_a_unit(tmp_path, capsys):
     assert "omega" in one_line_error(capsys)
 
 
+def test_bracket_non_integer_field(tmp_path, capsys):
+    bad = bracket_with(tmp_path, tail="delta 2 omega x")
+    assert run(["invariants", corpus_dir() / "2.1.1.knd",
+                "--biquandle", BIQ / "z3_involution.biq", "--bracket", bad]) == 2
+    assert "non-integer omega" in one_line_error(capsys)
+
+
+def test_diagram_with_a_repeated_line(tmp_path, capsys):
+    bad = tmp_path / "twice.knd"
+    bad.write_text("name a\ncode O+1,U+1\ncode -\nname b\n")
+    assert run(["invariants", bad, "--biquandle", BIQ / "z3_involution.biq"]) == 2
+    assert "repeated code line" in one_line_error(capsys)
+
+
 def test_corpus_and_selftest_check_the_biquandle(tmp_path, capsys):
     bad = tmp_path / "bad.biq"
     bad.write_text(NOT_A_BIQUANDLE)

@@ -45,6 +45,11 @@ def test_parse_errors():
         parse_diagram("O+1,U-1")
     with pytest.raises(PairingError):
         parse_diagram("V1")
+    # a second name or code line is an error, not a silent override
+    for text in ("name a\ncode O+1,U+1\ncode -\nname b",
+                 "name a\nname b\ncode -", "code -\ncode O+1,U+1"):
+        with pytest.raises(DiagramSyntaxError, match="repeated"):
+            parse_diagram(text)
 
 
 def test_writhe(corpus):

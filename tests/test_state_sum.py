@@ -220,7 +220,7 @@ def test_values_match_symbolic_state_sum(request, biquandle, bracket):
             want = evaluate_symbolic(sym, f, br)
             assert evaluate(d, f, br) == want
             cell = cells[f[0]][f[-1]]
-            cell[want.value] = cell.get(want.value, 0) + 1
+            cell[want] = cell.get(want, 0) + 1
         got = bracket_matrix(d, x, br)
         assert [[p.as_dict() for p in row] for row in got] == cells
 
