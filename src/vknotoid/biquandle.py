@@ -59,7 +59,7 @@ class FiniteBiquandle:
 
     under_table: Table
     over_table: Table
-    _solvers: tuple = field(repr=False, compare=False, default=())
+    _solvers: tuple = field(init=False, repr=False, compare=False, default=())
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:

@@ -54,13 +54,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
-from .coloring import _PLANS, counting_matrix, diagram_plans, iter_colorings
+from .coloring import _PLANS, cached_plan, counting_matrix, iter_colorings
 from .diagram import (Crossing, KnotoidDiagram, crossing_relations,
                       relation_holds, writhe)
 from .ring import BracketPolynomial, Modulus, NotAUnit
@@ -69,10 +70,6 @@ Table = tuple[tuple[int, ...], ...]
 ABV = tuple[int, int, int]          # the (A, B, V) coefficients at one pair
 
 SMOOTHINGS = ("vertical", "horizontal", "virtual")
-LETTER = {
-    (1, "vertical"): "A", (1, "horizontal"): "B", (1, "virtual"): "V",
-    (-1, "vertical"): "C", (-1, "horizontal"): "D", (-1, "virtual"): "U",
-}
 
 
 class BracketError(Exception):
@@ -425,9 +422,9 @@ class _StatePlan(NamedTuple):
                         tuple[tuple[tuple[int, int], ...], ...]], ...]
 
 
-# The plan cache, ``_PLANS``, is imported from coloring: one entry per
-# diagram holds its state plan and its coloring plans, so ``_PLANS.clear()``
-# forgets both.
+# The plan cache, ``_PLANS``, is imported from coloring: a diagram's entry
+# maps None to its state plan and each biquandle to its coloring plan, so
+# ``_PLANS.clear()`` forgets both.
 
 # A crossing's four ports as slots 0 u_in, 1 u_out, 2 o_in, 3 o_out, and the
 # slot each smoothing joins to each slot, in SMOOTHINGS order.
@@ -476,6 +473,11 @@ def _width_after(cr: Crossing, unswept: list[int], width: int) -> int:
 
 
 def _plan(diagram: KnotoidDiagram) -> _StatePlan:
+    """The diagram's frontier sweep, from the plan cache."""
+    return cached_plan(diagram, None, _compile_sweep)
+
+
+def _compile_sweep(diagram: KnotoidDiagram, _key: None) -> _StatePlan:
     """Compile the frontier sweep of one diagram.
 
     A semi-arc is on the boundary while one of its two ends is swept and the
@@ -489,9 +491,6 @@ def _plan(diagram: KnotoidDiagram) -> _StatePlan:
     is a loop (at most two per crossing).  After the last crossing the only
     state is the open component, the tail matched to the head.
     """
-    entry = diagram_plans(diagram)
-    if entry.state is not None:
-        return entry.state
     todo = list(diagram.crossings().items())
     unswept = [2] * diagram.semi_arc_count
     boundary: list[int] = []
@@ -544,8 +543,7 @@ def _plan(diagram: KnotoidDiagram) -> _StatePlan:
         sweep.append(cid)
         levels.append((cr.sign, cr.pair(), tuple(map(tuple, incoming))))
     assert len(states) == 1
-    entry.state = _StatePlan(writhe(diagram), tuple(sweep), tuple(levels))
-    return entry.state
+    return _StatePlan(writhe(diagram), tuple(sweep), tuple(levels))
 
 
 def _evaluator(plan: _StatePlan, br: VirtualBracket):
@@ -576,7 +574,12 @@ def _evaluator(plan: _StatePlan, br: VirtualBracket):
 
 
 def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
-                    x: FiniteBiquandle) -> None:
+                    x: FiniteBiquandle) -> tuple[int, ...]:
+    """The coloring as ints, if it colors the diagram by ``x``."""
+    try:
+        coloring = tuple(map(operator.index, coloring))     # 1.0 is no color
+    except TypeError:
+        raise ColoringMismatch("colors must be integers") from None
     if len(coloring) != diagram.semi_arc_count \
             or not all(c in range(x.n) for c in coloring):
         raise ColoringMismatch("coloring needs %d colors in 0..%d"
@@ -584,12 +587,13 @@ def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
     if not all(relation_holds(r, coloring, x)
                for r in crossing_relations(diagram).relations):
         raise ColoringMismatch("coloring violates a crossing relation")
+    return coloring
 
 
 def evaluate(diagram: KnotoidDiagram, coloring: tuple[int, ...],
              br: VirtualBracket) -> int:
     """State-sum value of one colored diagram, in range(m)."""
-    _check_coloring(diagram, coloring, br.biquandle)
+    coloring = _check_coloring(diagram, coloring, br.biquandle)
     return _evaluator(_plan(diagram), br)(coloring)
 
 
@@ -682,40 +686,45 @@ class State:
     components: int
 
 
-def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
-    """All 3^c states in mixed-radix order over ascending crossing ids.
-
-    Each path through the levels of the sweep plan picks one smoothing per
-    crossing, in sweep order; its component count is the open piece plus the
-    loops its edges close.
-    """
-    plan = _plan(diagram)
+def _state_paths(plan: _StatePlan) -> tuple[list[int], list]:
+    """The positions of the plan's levels in ascending crossing id, and its
+    3^c paths, one per state, in mixed-radix order over those crossings: per
+    crossing its smoothing's index, and the open piece plus the loops the
+    path closes."""
     paths = [[((), 1)]]                 # per partial state: (kinds, components)
     for _, _, incoming in plan.levels:
         paths = [[(kinds + (x % 3,), m + x // 3)
                   for s, x in edges for kinds, m in paths[s]]
                  for edges in incoming]
-    cids = sorted(plan.sweep)
-    where = [plan.sweep.index(cid) for cid in cids]
-    states = sorted((tuple(kinds[k] for k in where), m) for kinds, m in paths[0])
+    where = sorted(range(len(plan.sweep)), key=plan.sweep.__getitem__)
+    return where, sorted((tuple(kinds[k] for k in where), m)
+                         for kinds, m in paths[0])
+
+
+def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
+    """All 3^c states in mixed-radix order over ascending crossing ids."""
+    plan = _plan(diagram)
+    where, states = _state_paths(plan)
+    cids = [plan.sweep[k] for k in where]
     return [State(tuple(zip(cids, (SMOOTHINGS[k] for k in kinds))), m)
             for kinds, m in states]
 
 
 def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
     """Symbolic state sum over the identity coloring: one term per state,
-    exactly 3^c of them."""
-    crossings = diagram.crossings()
-    pairs = {cid: cr.pair() for cid, cr in crossings.items()}
-    wr = writhe(diagram)
-    terms = []
-    for st in enumerate_states(diagram):
-        facs = []
-        for cid, kind in st.smoothings:
-            i, j = pairs[cid]
-            facs.append((LETTER[(crossings[cid].sign, kind)], (i + 1, j + 1)))
-        terms.append(SymbolicTerm(-wr, st.components, tuple(facs)))
-    return SymbolicBracket(diagram.classical_count, tuple(terms))
+    exactly 3^c of them, in the order of :func:`enumerate_states`."""
+    plan = _plan(diagram)
+    where, states = _state_paths(plan)
+    # per crossing in ascending id: its letters in SMOOTHINGS order and its
+    # argument pair as 1-based semi-arc labels
+    crossings = [("ABV" if sign > 0 else "CDU", (i + 1, j + 1))
+                 for sign, (i, j), _ in map(plan.levels.__getitem__, where)]
+    terms = tuple(
+        SymbolicTerm(-plan.writhe, m,
+                     tuple([(letters[k], pair)
+                            for (letters, pair), k in zip(crossings, kinds)]))
+        for kinds, m in states)
+    return SymbolicBracket(diagram.classical_count, terms)
 
 
 def render_symbolic(sym: SymbolicBracket) -> str:

@@ -17,8 +17,9 @@ where no crossing forces a color, so its cost grows with the number of such
 branch points, not with the frontier width of the traversal.  A plan
 depends only on the diagram's passes and the biquandle's tables, so it is
 compiled once per (diagram, biquandle) and kept in the plan cache
-:data:`_PLANS`, which holds one entry per diagram: its coloring plans and
-its state plan (:func:`vknotoid.bracket._plan`).
+:data:`_PLANS`.  Its entry per diagram is a dict from key to plan: the
+biquandle for a coloring plan, None for the state plan
+(:func:`vknotoid.bracket._plan`); :func:`cached_plan` is the one way in.
 
 The plan runs on an explicit stack, so the depth of a diagram is bounded by
 memory, not by the interpreter's recursion limit.  Colorings are yielded one
@@ -35,33 +36,31 @@ from .diagram import KnotoidDiagram
 Coloring = tuple[int, ...]
 
 
-class DiagramPlans:
-    """The plan cache's entry for one diagram: its state plan once
-    :mod:`vknotoid.bracket` has compiled it, and one coloring plan per
-    biquandle."""
-
-    __slots__ = ("state", "solve")
-
-    def __init__(self) -> None:
-        self.state = None
-        self.solve: dict[FiniteBiquandle, list] = {}
-
-
-# Keyed on the diagram's passes.  It is emptied before a diagram joins 65
-# others, and an entry's coloring plans before a biquandle joins 65 others.
-# ``bracket._PLANS`` is this dict, so clearing either forgets every plan.
-_PLANS: dict[tuple, DiagramPlans] = {}
+# Keyed on the diagram's passes; ``bracket._PLANS`` is this dict, so
+# clearing either forgets every plan.
+_PLANS: dict[tuple, dict] = {}
 _PLAN_LIMIT = 64
 
 
-def diagram_plans(diagram: KnotoidDiagram) -> DiagramPlans:
-    """The diagram's entry in the plan cache, made empty if it has none."""
+def _store(cache: dict, key, value):
+    """``cache[key] = value``, first emptying a cache over _PLAN_LIMIT items."""
+    if len(cache) > _PLAN_LIMIT:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+def cached_plan(diagram: KnotoidDiagram, key, compile):
+    """The plan under ``key`` in the diagram's entry of the plan cache,
+    stored from ``compile(diagram, key)`` on a miss.  The cache is emptied
+    before a 66th diagram joins it, and an entry before its 66th plan."""
     entry = _PLANS.get(diagram.passes)
     if entry is None:
-        if len(_PLANS) > _PLAN_LIMIT:
-            _PLANS.clear()
-        entry = _PLANS[diagram.passes] = DiagramPlans()
-    return entry
+        entry = _store(_PLANS, diagram.passes, {})
+    plan = entry.get(key)
+    if plan is None:
+        plan = _store(entry, key, compile(diagram, key))
+    return plan
 
 
 def _solve_plan(diagram: KnotoidDiagram, x: FiniteBiquandle) -> list:
@@ -126,12 +125,7 @@ def iter_colorings(diagram: KnotoidDiagram,
     indices per semi-arc.  Raises NotABiquandle before the first coloring if
     the diagram has a classical crossing and a solve table of ``x`` is not
     a function."""
-    solve = diagram_plans(diagram).solve
-    steps = solve.get(x)
-    if steps is None:
-        if len(solve) > _PLAN_LIMIT:
-            solve.clear()
-        steps = solve[x] = _solve_plan(diagram, x)
+    steps = cached_plan(diagram, x, _solve_plan)
     last = len(steps)
     colors = [0] * diagram.semi_arc_count
     stack = list(steps[0])

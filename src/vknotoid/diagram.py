@@ -283,11 +283,17 @@ def relation_holds(rel: Relation, colors: tuple[int, ...],
 
 # -- product -------------------------------------------------------------------
 
+def _largest_ids(diagram: KnotoidDiagram) -> tuple[int, int]:
+    """The largest classical and the largest virtual crossing id, 0 if none."""
+    passes = diagram.passes
+    return (max((p.crossing for p in passes if p.kind != "V"), default=0),
+            max((p.crossing for p in passes if p.kind == "V"), default=0))
+
+
 def product(d1: KnotoidDiagram, d2: KnotoidDiagram) -> KnotoidDiagram:
     """Head-to-tail concatenation; d2's crossing ids are renumbered clear of
     d1's so the token lists can simply be joined."""
-    shift_c = max((p.crossing for p in d1.passes if p.kind != "V"), default=0)
-    shift_v = max((p.crossing for p in d1.passes if p.kind == "V"), default=0)
+    shift_c, shift_v = _largest_ids(d1)
     moved = tuple(
         Pass(p.kind, p.crossing + (shift_v if p.kind == "V" else shift_c), p.sign)
         for p in d2.passes)
@@ -296,13 +302,6 @@ def product(d1: KnotoidDiagram, d2: KnotoidDiagram) -> KnotoidDiagram:
 
 
 # -- Reidemeister-move insertions ----------------------------------------------
-
-def _fresh_ids(diagram: KnotoidDiagram, classical: int, virtual: int) -> tuple[list[int], list[int]]:
-    base_c = max((p.crossing for p in diagram.passes if p.kind != "V"), default=0)
-    base_v = max((p.crossing for p in diagram.passes if p.kind == "V"), default=0)
-    return ([base_c + i + 1 for i in range(classical)],
-            [base_v + i + 1 for i in range(virtual)])
-
 
 def _check_gap(diagram: KnotoidDiagram, gap: int) -> None:
     if not 0 <= gap <= len(diagram.passes):
@@ -323,25 +322,25 @@ def insert_move(diagram: KnotoidDiagram, move: str, gap: int,
     by requiring the counting and bracket matrices to be preserved.
     """
     _check_gap(diagram, gap)
+    if move in ("R2", "VR2"):
+        if gap2 is None:
+            raise PositionError("%s needs two gap positions" % move)
+        _check_gap(diagram, gap2)
+        if gap2 < gap:
+            gap, gap2 = gap2, gap
     toks = list(diagram.passes)
+    # the new crossings take the ids after the largest ones in use
+    k, v = _largest_ids(diagram)
     if move == "R1":
-        (k,), _ = _fresh_ids(diagram, 1, 0)
-        block = [Pass("O", k, sign), Pass("U", k, sign)]
+        block = [Pass("O", k + 1, sign), Pass("U", k + 1, sign)]
         if not over_first:
             block.reverse()
         toks[gap:gap] = block
     elif move == "VR1":
-        _, (v,) = _fresh_ids(diagram, 0, 1)
-        toks[gap:gap] = [Pass("V", v, 0), Pass("V", v, 0)]
+        toks[gap:gap] = [Pass("V", v + 1, 0), Pass("V", v + 1, 0)]
     elif move == "R2":
-        if gap2 is None:
-            raise PositionError("R2 needs two gap positions")
-        _check_gap(diagram, gap2)
-        if gap2 < gap:
-            gap, gap2 = gap2, gap
-        (k1, k2), _ = _fresh_ids(diagram, 2, 0)
-        over_block = [Pass("O", k1, sign), Pass("O", k2, -sign)]
-        under_block = [Pass("U", k1, sign), Pass("U", k2, -sign)]
+        over_block = [Pass("O", k + 1, sign), Pass("O", k + 2, -sign)]
+        under_block = [Pass("U", k + 1, sign), Pass("U", k + 2, -sign)]
         if not parallel:
             under_block.reverse()
         first, second = (over_block, under_block) if over_first \
@@ -349,14 +348,8 @@ def insert_move(diagram: KnotoidDiagram, move: str, gap: int,
         toks[gap2:gap2] = second
         toks[gap:gap] = first
     elif move == "VR2":
-        if gap2 is None:
-            raise PositionError("VR2 needs two gap positions")
-        _check_gap(diagram, gap2)
-        if gap2 < gap:
-            gap, gap2 = gap2, gap
-        _, (v1, v2) = _fresh_ids(diagram, 0, 2)
-        toks[gap2:gap2] = [Pass("V", v2, 0), Pass("V", v1, 0)]
-        toks[gap:gap] = [Pass("V", v1, 0), Pass("V", v2, 0)]
+        toks[gap2:gap2] = [Pass("V", v + 2, 0), Pass("V", v + 1, 0)]
+        toks[gap:gap] = [Pass("V", v + 1, 0), Pass("V", v + 2, 0)]
     else:
         raise ValueError("unknown move %r" % move)
     return KnotoidDiagram(diagram.name, tuple(toks))

@@ -93,8 +93,17 @@ def test_equal_tables_hash_once_and_share_their_caches(z3_coloring, corpus):
     d = corpus["3.1.1"]
     bracket._PLANS.clear()
     assert sorted(iter_colorings(d, z3_coloring)) == sorted(iter_colorings(d, y))
-    assert list(bracket._PLANS[d.passes].solve) == [z3_coloring]
+    assert list(bracket._PLANS[d.passes]) == [z3_coloring]
     assert copy_of(alexander_biquandle(5, 2, 4)) != z3_coloring
+
+
+def test_solve_tables_are_not_a_constructor_argument(z3_coloring):
+    with pytest.raises(TypeError):
+        FiniteBiquandle(z3_coloring.under_table, z3_coloring.over_table,
+                        ("junk",))
+    with pytest.raises(TypeError):
+        FiniteBiquandle(z3_coloring.under_table, z3_coloring.over_table,
+                        _solvers=("junk",))
 
 
 def test_render_round_trip():

@@ -570,6 +570,18 @@ def test_coloring_mismatch_rejected(corpus, z5_bracket):
             evaluate(corpus["2.1.1"], coloring, z5_bracket)
 
 
+def test_coloring_needs_integer_colors(corpus, z5_bracket):
+    d = corpus["2.1.1"]
+    for coloring in [(2.0, 0, 2, 0, 2),       # a float equal to an int
+                     (2, 0, 2, 0, "2"),       # a string
+                     (2, 0, 2, 0, None)]:
+        with pytest.raises(ColoringMismatch):
+            evaluate(d, coloring, z5_bracket)
+    # what operator.index accepts is a color, and a list a coloring
+    assert evaluate(d, [2, False, 2, False, 2], z5_bracket) \
+        == evaluate(d, (2, 0, 2, 0, 2), z5_bracket) == 3
+
+
 def test_multiset_of_2_1_1(corpus, z3_involution, z5_bracket):
     assert bracket_multiset(corpus["2.1.1"], z3_involution, z5_bracket) \
         == {3: 2, 2: 1}

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -55,6 +56,15 @@ def test_biquandle_alexander_emits_table(tmp_path, capsys):
     assert run(["biquandle", "alexander", 4, 2, 1]) == 2
 
 
+def test_biquandle_alexander_warns_on_a_table_that_fails(capsys):
+    # the shift breaks the axioms; the table is written all the same
+    assert run(["biquandle", "alexander", 5, 2, 4, "--shift-under", 1]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "warning: table does not satisfy the axioms\n"
+    assert captured.out.splitlines()[:2] == ["5", "5 2 4 1 3 4 4 4 4 4"]
+    assert len(captured.out.splitlines()) == 6
+
+
 def test_invariants_text(capsys):
     rc = run(["invariants", corpus_dir() / "2.1.1.knd",
               "--biquandle", BIQ / "z3_involution.biq",
@@ -63,6 +73,20 @@ def test_invariants_text(capsys):
     out = capsys.readouterr().out
     assert "colorings: 3" in out
     assert "2u^3+u^2" in out
+
+
+def test_invariants_csv(capsys):
+    rc = run(["invariants", corpus_dir() / "2.1.1.knd",
+              "--biquandle", BIQ / "z3_involution.biq",
+              "--bracket", BRK / "z5_involution.bvb", "--format", "csv"])
+    assert rc == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 1
+    rec = rows[0]
+    assert (rec["name"], rec["counting_invariant"], rec["bracket_polynomial"]) \
+        == ("2.1.1", "3", "2u^3+u^2")
+    assert [rec["MB_%d_%d" % (i, i)] for i in (1, 2, 3)] == ["u^3", "u^2", "u^3"]
+    assert "status" not in rec
 
 
 def test_invariants_json_round_trip(tmp_path):
@@ -126,6 +150,21 @@ def test_corpus_csv(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 33
 
 
+def test_corpus_csv_with_a_bracket(capsys):
+    rc = run(["corpus", "--dir", corpus_dir(),
+              "--biquandle", BIQ / "z3_involution.biq",
+              "--bracket", BRK / "z5_involution.bvb", "--format", "csv"])
+    assert rc == 0
+    rows = {r["name"]: r for r in csv.DictReader(
+        capsys.readouterr().out.splitlines())}
+    assert len(rows) == 32
+    rec = rows["2.1.1"]
+    assert (rec["status"], rec["bracket_polynomial"]) == ("verified", "2u^3+u^2")
+    assert [rec["MB_%d_%d" % (i, j)] for i in (1, 2, 3) for j in (1, 2, 3)] \
+        == ["u^3", "0", "0", "0", "u^2", "0", "0", "0", "u^3"]
+    assert all(r["bracket_polynomial"] for r in rows.values())
+
+
 # sha256 of each config's "results", as json.dumps(..., sort_keys=True), over
 # the bundled corpus; the figures were taken before the coloring plans moved
 # into the plan cache
@@ -173,6 +212,13 @@ def test_corpus_empty_dir(tmp_path):
     assert rc == 0
 
 
+def test_corpus_dir_must_be_a_directory(capsys):
+    path = corpus_dir() / "2.1.1.knd"
+    rc = run(["corpus", "--dir", path, "--biquandle", BIQ / "z3_coloring.biq"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: not a directory: %s\n" % path
+
+
 def test_corpus_reports_bad_file_and_continues(tmp_path, capsys):
     (tmp_path / "good.knd").write_text("name good\ncode O+1,U+1\n")
     (tmp_path / "bad.knd").write_text("name bad\ncode O+1,U-1\n")
@@ -197,6 +243,20 @@ def test_selftest_trivial(capsys):
               "--biquandle", BIQ / "z3_coloring.biq",
               "--trials", 10, "--seed", 1])
     assert rc == 0
+
+
+@pytest.mark.parametrize("seed, trial", [(0, 11), (1, 7), (2, 1)])
+def test_selftest_reports_a_failure(capsys, seed, trial):
+    # z37_shift fails the bracket axioms, so its state sum is not
+    # R2-invariant and a random R2 insertion changes the invariants
+    rc = run(["selftest", corpus_dir() / "2.1.1.knd",
+              "--biquandle", BIQ / "z3_shift.biq",
+              "--bracket", BRK / "z37_shift.bvb", "--no-verify",
+              "--trials", 20, "--seed", seed])
+    assert rc == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "FAIL at trial %d (R2): rewritten code below" % trial
+    assert out[1] == "name 2.1.1" and out[2].startswith("code ")
 
 
 def test_search_cli(tmp_path, capsys):

@@ -1,7 +1,7 @@
-"""The plan cache: one entry per diagram holds its state plan and one
-coloring plan per biquandle.  Warm and cold results are checked bit for bit
-against the 3^c state sum and the traversal walk, compiles are counted, and
-the cache's bound is per diagram."""
+"""The plan cache: one entry per diagram maps None to its state plan and
+each biquandle to its coloring plan.  Warm and cold results are checked bit
+for bit against the 3^c state sum and the traversal walk, compiles are
+counted, and the cache's bound is per diagram and per entry."""
 
 import random
 from collections import Counter
@@ -9,8 +9,9 @@ from collections import Counter
 import pytest
 
 from vknotoid import bracket, coloring
-from vknotoid.biquandle import FiniteBiquandle
+from vknotoid.biquandle import FiniteBiquandle, alexander_biquandle
 from vknotoid.bracket import Invariants, VirtualBracket, invariants
+from vknotoid.coloring import counting_matrix
 from vknotoid.data import load_biquandle
 from vknotoid.ring import BracketPolynomial, Modulus
 
@@ -67,7 +68,8 @@ def test_cached_invariants_match_the_oracles(cold, corpus, z3_involution,
     for i, d in enumerate(codes):
         for k, (x, br) in enumerate(configs):
             assert invariants(d, x, br) == want[k, i]
-    assert len(bracket._PLANS[codes[0].passes].solve) == 3
+    assert set(bracket._PLANS[codes[0].passes]) \
+        == {None, z3_involution, z5_alexander, z3_coloring}
     # some cell under the random bracket holds several terms, in order
     assert any(len(p.terms) > 1 for (k, _), inv in want.items() if k == 3
                for row in inv.bracket_matrix for p in row)
@@ -101,6 +103,27 @@ def test_a_warm_repeat_compiles_no_coloring_plan(cold, monkeypatch, corpus,
     assert calls == [d.passes]
 
 
+def test_clearing_forgets_both_plan_kinds(cold, monkeypatch, corpus,
+                                         z3_involution, z5_bracket):
+    d = corpus["4.1.5"]
+    want = invariants(d, z3_involution, z5_bracket)
+    assert set(bracket._PLANS[d.passes]) == {None, z3_involution}
+    calls = count_compiles(monkeypatch)
+    sweeps = []
+    compile_sweep = bracket._compile_sweep
+
+    def counted(diagram, key):
+        sweeps.append(diagram.passes)
+        return compile_sweep(diagram, key)
+
+    monkeypatch.setattr(bracket, "_compile_sweep", counted)
+    assert invariants(d, z3_involution, z5_bracket) == want
+    assert calls == [] and sweeps == []
+    bracket._PLANS.clear()
+    assert invariants(d, z3_involution, z5_bracket) == want
+    assert calls == [d.passes] and sweeps == [d.passes]
+
+
 def test_four_biquandles_over_the_corpus_stay_cached(cold, monkeypatch,
                                                      corpus):
     xs = [load_biquandle(name) for name in
@@ -122,8 +145,36 @@ def test_the_cache_is_bounded_per_diagram(cold, z3_involution, z5_alexander,
         for x, br in configs:
             assert invariants(d, x, br) == oracle_invariants(d, x, br)
             assert len(bracket._PLANS) <= 65
-    # the entry of the last diagram holds all three biquandles' plans
-    assert len(bracket._PLANS[codes[-1].passes].solve) == 3
+    # the entry of the last diagram holds all three biquandles' plans and
+    # its state plan
+    assert set(bracket._PLANS[codes[-1].passes]) \
+        == {None, z3_involution, z5_alexander, z3_coloring}
+
+
+def test_an_entry_is_bounded_per_biquandle(cold, monkeypatch, corpus):
+    # 100 affine tables on Z_11, more than one entry holds
+    xs = [alexander_biquandle(11, t, r)
+          for t in range(1, 11) for r in range(1, 11)]
+    assert len(set(xs)) == 100
+    d = corpus["3.1.1"]
+    cold_matrices = []
+    for x in xs:
+        bracket._PLANS.clear()
+        cold_matrices.append(counting_matrix(d, x))
+    bracket._PLANS.clear()
+    calls = count_compiles(monkeypatch)
+    sizes = []
+    for _ in range(2):
+        for x, want in zip(xs, cold_matrices):
+            assert counting_matrix(d, x) == want
+            sizes.append(len(bracket._PLANS[d.passes]))
+    # the entry fills to 65 plans and is emptied before the 66th joins it;
+    # a round of 100 outruns it, so the second round compiles every plan
+    # again, and a repeat of the last biquandle compiles none
+    assert max(sizes) == 65 and sizes[64:66] == [65, 1]
+    assert len(bracket._PLANS) == 1 and len(calls) == 2 * len(xs)
+    assert counting_matrix(d, xs[-1]) == cold_matrices[-1]
+    assert len(calls) == 2 * len(xs)
 
 
 def test_bracket_polynomial_is_the_sum_of_the_cells(corpus, z3_involution,
