@@ -6,7 +6,7 @@ from .ring import (Modulus, BracketPolynomial, poly_render, poly_parse,
                    NotAUnit)
 from .biquandle import (FiniteBiquandle, AxiomReport, alexander_biquandle,
                         parse_operation_matrix, render_operation_matrix,
-                        verify_biquandle_axioms,
+                        verify_biquandle_axioms, automorphism_orbits,
                         ShapeError, RangeError, NotABiquandle)
 from .diagram import (KnotoidDiagram, Pass, Crossing, Presentation, Relation,
                       parse_diagram, render_diagram, writhe,

@@ -261,3 +261,119 @@ def verify_biquandle_axioms(x: FiniteBiquandle) -> AxiomReport:
                     if not ok:
                         bad.append((tag, (a + 1, b + 1, c + 1)))
     return AxiomReport(not bad, tuple(bad))
+
+
+# -- automorphisms -------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def automorphism_orbits(
+        x: FiniteBiquandle) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per element i, a pair (r, g): r is the least element of i's orbit
+    under Aut(X), the permutations g with g[a under b] = g[a] under g[b] and
+    g[a over b] = g[a] over g[b], and g is one automorphism with g[r] == i.
+
+    Elements are taken in ascending order.  One that no orbit found so far
+    holds is joined to the first earlier representative of its class (see
+    :func:`_element_classes`) that one automorphism maps to it, or else
+    becomes a representative itself, and each orbit is the closure of its
+    representative under the automorphisms found so far.  Each search
+    closes its partial map under both tables, so it branches only where no
+    product forces an image, and it stops at the first automorphism: it
+    does not walk the n! permutations, and a table whose products force
+    nothing (x under y = x over y = x) takes no step back.  A search that
+    fails may still backtrack far on a table whose classes do not split and
+    whose products force little.  Memoized on the biquandle's value, 8
+    entries of n maps each."""
+    n = x.n
+    classes = _element_classes(x)
+    orbits: list = [None] * n
+    reps: list[int] = []
+    gens: list[tuple[int, ...]] = []
+    for i in range(n):
+        if orbits[i] is not None:
+            continue
+        for r in reps:
+            g = _automorphism(x, classes, r, i)
+            if g:
+                gens.append(g)
+                break
+        else:
+            reps.append(i)
+        for r in reps:
+            orbits[r] = (r, tuple(range(n)))
+            reached = [r]
+            for e in reached:           # grows while it is walked
+                for s in gens:
+                    if s[e] not in reached:
+                        reached.append(s[e])
+                        orbits[s[e]] = (r, tuple(map(s.__getitem__,
+                                                     orbits[e][1])))
+    return tuple(orbits)
+
+
+def _element_classes(x: FiniteBiquandle) -> list[int]:
+    """A class per element that every automorphism keeps: whether x under x
+    and x over x are x, refined by colour refinement (the multiset over y of
+    the classes of y and of the four products of x and y) until no class
+    splits."""
+    under, over = x.under_table, x.over_table
+    rn = range(x.n)
+    classes = [(under[a][a] == a) + 2 * (over[a][a] == a) for a in rn]
+    while True:
+        sigs = [(classes[a], tuple(sorted(
+            (classes[b], classes[under[a][b]], classes[over[a][b]],
+             classes[under[b][a]], classes[over[b][a]]) for b in rn)))
+            for a in rn]
+        rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        if len(rank) == len(set(classes)):
+            return classes
+        classes = [rank[s] for s in sigs]
+
+
+def _automorphism(x: FiniteBiquandle, classes: list[int], r: int,
+                  i: int) -> tuple[int, ...] | None:
+    """One automorphism g with g[r] == i, or None.  Depth first: the least
+    element without an image is sent to each free element of its class in
+    turn, and the map is closed under both tables after each choice."""
+    n = x.n
+    stack = [([-1] * n, [-1] * n, r, iter((i,)))]
+    while stack:
+        g, ginv, a, images = stack[-1]
+        for b in images:
+            h, hinv = g[:], ginv[:]
+            if _close(x, classes, h, hinv, a, b):
+                if -1 not in h:
+                    return tuple(h)
+                free = h.index(-1)
+                stack.append((h, hinv, free, iter(
+                    [c for c in range(n)
+                     if hinv[c] < 0 and classes[c] == classes[free]])))
+                break
+        else:
+            stack.pop()
+    return None
+
+
+def _close(x: FiniteBiquandle, classes: list[int], g: list[int],
+           ginv: list[int], a: int, b: int) -> bool:
+    """Set g[a] = b and close the partial map g (with its inverse ginv) in
+    place: while g maps p and q, g[p op q] = g[p] op g[q] for both
+    operations.  False if that sends an element to two images, two elements
+    to one, or an element out of its class."""
+    tables = (x.under_table, x.over_table)
+    domain = [e for e in range(x.n) if g[e] >= 0]
+    pending = [(a, b)]
+    while pending:
+        p, gp = pending.pop()
+        if g[p] == gp:
+            continue
+        if g[p] >= 0 or ginv[gp] >= 0 or classes[p] != classes[gp]:
+            return False
+        g[p], ginv[gp] = gp, p
+        domain.append(p)
+        for q in domain:
+            gq = g[q]
+            for t in tables:
+                pending.append((t[p][q], t[gp][gq]))
+                pending.append((t[q][p], t[gq][gp]))
+    return True

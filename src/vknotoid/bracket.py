@@ -62,8 +62,8 @@ from typing import NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
 from .coloring import _PLANS, cached_plan, counting_matrix, iter_colorings
-from .diagram import (Crossing, KnotoidDiagram, crossing_relations,
-                      relation_holds, writhe)
+from .diagram import (Crossing, KnotoidDiagram, Presentation,
+                      crossing_relations, relation_holds, writhe)
 from .ring import BracketPolynomial, Modulus, NotAUnit
 
 Table = tuple[tuple[int, ...], ...]
@@ -573,19 +573,19 @@ def _evaluator(plan: _StatePlan, br: VirtualBracket):
     return value
 
 
-def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
+def _check_coloring(pres: Presentation, coloring: tuple[int, ...],
                     x: FiniteBiquandle) -> tuple[int, ...]:
-    """The coloring as ints, if it colors the diagram by ``x``."""
+    """The coloring as ints, if it colors the presentation's semi-arcs by
+    ``x``."""
     try:
         coloring = tuple(map(operator.index, coloring))     # 1.0 is no color
     except TypeError:
         raise ColoringMismatch("colors must be integers") from None
-    if len(coloring) != diagram.semi_arc_count \
+    if len(coloring) != len(pres.generators) \
             or not all(c in range(x.n) for c in coloring):
         raise ColoringMismatch("coloring needs %d colors in 0..%d"
-                               % (diagram.semi_arc_count, x.n - 1))
-    if not all(relation_holds(r, coloring, x)
-               for r in crossing_relations(diagram).relations):
+                               % (len(pres.generators), x.n - 1))
+    if not all(relation_holds(r, coloring, x) for r in pres.relations):
         raise ColoringMismatch("coloring violates a crossing relation")
     return coloring
 
@@ -593,7 +593,8 @@ def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
 def evaluate(diagram: KnotoidDiagram, coloring: tuple[int, ...],
              br: VirtualBracket) -> int:
     """State-sum value of one colored diagram, in range(m)."""
-    coloring = _check_coloring(diagram, coloring, br.biquandle)
+    coloring = _check_coloring(crossing_relations(diagram), coloring,
+                               br.biquandle)
     return _evaluator(_plan(diagram), br)(coloring)
 
 
@@ -674,8 +675,11 @@ class SymbolicTerm:
 
 @dataclass(frozen=True)
 class SymbolicBracket:
+    """The terms of the state sum, and the diagram's presentation, against
+    which :func:`evaluate_symbolic` checks a coloring."""
     crossing_count: int
     terms: tuple[SymbolicTerm, ...]
+    presentation: Presentation
 
 
 @dataclass(frozen=True)
@@ -724,7 +728,8 @@ def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
                      tuple([(letters[k], pair)
                             for (letters, pair), k in zip(crossings, kinds)]))
         for kinds, m in states)
-    return SymbolicBracket(diagram.classical_count, terms)
+    return SymbolicBracket(diagram.classical_count, terms,
+                           crossing_relations(diagram))
 
 
 def render_symbolic(sym: SymbolicBracket) -> str:
@@ -745,7 +750,10 @@ def render_symbolic(sym: SymbolicBracket) -> str:
 def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],
                       br: VirtualBracket) -> int:
     """Substitute a concrete coloring and bracket into the symbolic sum; the
-    value is in range(m)."""
+    value is in range(m).  Raises ColoringMismatch, as :func:`evaluate`
+    does, unless the coloring colors the diagram by the bracket's
+    biquandle."""
+    coloring = _check_coloring(sym.presentation, coloring, br.biquandle)
     m = br.modulus.m
     total = 0
     for t in sym.terms:

@@ -418,7 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--biquandle", required=True)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--ansatz", choices=["diagonal", "full"], default="diagonal")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=1_000_000,
+                   help="most assignments to examine (default %(default)s); "
+                   "a search that needs more stops and exits 3.  It bounds "
+                   "assignments only: the O(p^2) pair solutions of each delta "
+                   "come first and are not bounded, so --modulus 1000003 runs "
+                   "until it is killed, whatever the budget")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--require-delta-unit", action="store_true")
     p.add_argument("--out-dir")

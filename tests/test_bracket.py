@@ -19,7 +19,7 @@ from vknotoid.bracket import (BracketError, ColoringMismatch, State,
                               verify_bracket_axioms)
 from vknotoid.biquandle import AxiomReport, FiniteBiquandle, verify_biquandle_axioms
 from vknotoid.coloring import enumerate_colorings
-from vknotoid.diagram import parse_diagram
+from vknotoid.diagram import crossing_relations, parse_diagram
 from vknotoid.ring import Modulus, NotAUnit, poly_render
 from vknotoid.search import SearchConfig, search_brackets
 
@@ -739,3 +739,15 @@ def test_symbolic_agrees_with_concrete(corpus, z3_involution, z3_shift,
         for x, br in ((z3_involution, z5_bracket), (z3_shift, z37_bracket)):
             for f in enumerate_colorings(d, x):
                 assert evaluate_symbolic(sym, f, br) == evaluate(d, f, br)
+
+
+def test_symbolic_evaluation_checks_its_coloring(corpus, z5_bracket):
+    sym = fundamental_bracket(corpus["2.1.1"])
+    for coloring in [(0, 0, 0, 0, 0),         # violates a crossing relation
+                     (2, 0),                  # too few colors
+                     (2.0, 0, 2, 0, 2)]:      # a float equal to an int
+        with pytest.raises(ColoringMismatch):
+            evaluate_symbolic(sym, coloring, z5_bracket)
+    assert evaluate_symbolic(sym, [2, False, 2, False, 2], z5_bracket) == 3
+    # the check reads the same presentation as evaluate's
+    assert sym.presentation == crossing_relations(corpus["2.1.1"])

@@ -506,3 +506,14 @@ def test_usage_error_leaves_the_parser_usable(capsys):
     assert run(["invariants", corpus_dir() / "2.1.1.knd",
                 "--biquandle", BIQ / "z3_involution.biq"]) == 0
     assert "colorings: 3" in capsys.readouterr().out
+
+
+def test_search_help_says_what_the_budget_bounds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--budget BUDGET most assignments to examine (default 1000000)" \
+        in text
+    assert "pair solutions of each delta come first and are not bounded" \
+        in text
