@@ -18,7 +18,7 @@ from .coloring import (enumerate_colorings, iter_colorings,
 from .bracket import (VirtualBracket, SymbolicBracket, SymbolicTerm, State,
                       parse_bracket, render_bracket, verify_bracket_axioms,
                       enumerate_states,
-                      evaluate, Invariants, invariants, bracket_multiset,
+                      evaluate, Invariants, invariants,
                       bracket_polynomial, bracket_matrix,
                       fundamental_bracket, render_symbolic, evaluate_symbolic,
                       ColoringMismatch)

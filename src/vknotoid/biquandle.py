@@ -49,8 +49,7 @@ class AxiomReport:
     def __str__(self) -> str:
         if self.passed:
             return "all axioms hold"
-        return "; ".join("%s at %s" % (a, (w,) if not isinstance(w, tuple) else w)
-                         for a, w in self.violations)
+        return "; ".join("%s at %s" % (a, w) for a, w in self.violations)
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,6 @@ class FiniteBiquandle:
 
     def over_op(self, x: int, y: int) -> int:
         return self.over_table[x][y]
-
-    def sideways(self, x: int, y: int) -> tuple[int, int]:
-        """S(x, y) = (y over x, x under y)."""
-        return (self.over_op(y, x), self.under_op(x, y))
 
     def solvers(self) -> tuple:
         """The four solve tables of the sideways relation (see
@@ -238,8 +233,9 @@ def verify_biquandle_axioms(x: FiniteBiquandle) -> AxiomReport:
             bad.append(("under-column", (y + 1,)))
         if sorted(over_cols[y]) != elements:
             bad.append(("over-column", (y + 1,)))
-    images = {(over[b][a], under[a][b]) for a in range(n) for b in range(n)}
-    if len(images) != n * n:
+    # S is built once, by _solve_tables; it is a bijection iff its inverse
+    # table exists
+    if x._solvers[1] is None:
         bad.append(("sideways", ()))
     for a in range(n):
         under_a, over_a = under[a], over[a]

@@ -274,19 +274,16 @@ def pack_abv(m: int, a: int, b: int, v: int) -> int:
 
 @lru_cache(maxsize=8)
 def triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...], ...],
-                                              tuple[tuple[int, ...], ...],
                                               itemgetter]:
     """The slot table of the triple families: per element triple, in
-    lexicographic order, its 1-based witness and the six cells i * n + j of
-    :func:`triple_slots` in a flat n * n list, and one getter of all those
-    cells in turn.  Cached on the biquandle's value: its tables, not only its
-    size, decide the cells."""
+    lexicographic order, the six cells i * n + j of :func:`triple_slots` in
+    a flat n * n list, and one getter of all those cells in turn.  Triple t
+    in that order is (t // n^2, t // n % n, t % n).  Cached on the
+    biquandle's value: its tables, not only its size, decide the cells."""
     n = x.n
-    triples = list(itertools.product(range(n), repeat=3))
     cells = tuple([tuple([i * n + j for i, j in triple_slots(x, *t)])
-                   for t in triples])
-    witnesses = tuple([(a + 1, b + 1, c + 1) for a, b, c in triples])
-    return witnesses, cells, itemgetter(*itertools.chain.from_iterable(cells))
+                   for t in itertools.product(range(n), repeat=3)])
+    return cells, itemgetter(*itertools.chain.from_iterable(cells))
 
 
 # Each memo holds at most _MEMO_SIZE entries, read at call time.  The
@@ -397,14 +394,15 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
                     enumerate(zip(br.A, br.B, br.V, br.C, br.D, br.U))))
     bad = [v for diagonal, _, _ in rows for v in diagonal]
     bad += [v for _, failed, _ in rows for v in failed]
-    witnesses, _, get = triple_cells(br.biquandle)
+    _, get = triple_cells(br.biquandle)
     flat = get([code for _, _, codes in rows for code in codes])
     # cut into one key of six packed cells per triple
     failed = list(map(triple_verdicts(m, d).__getitem__,
                       zip(*[iter(flat)] * 6)))
     if any(failed):
-        bad += [(key, witness) for witness, keys in zip(witnesses, failed)
-                for key in keys]
+        n = br.biquandle.n
+        bad += [(key, (t // n // n + 1, t // n % n + 1, t % n + 1))
+                for t, keys in enumerate(failed) for key in keys]
     return AxiomReport(not bad, tuple(bad))
 
 
@@ -626,9 +624,12 @@ class Invariants(NamedTuple):
 
 def invariants(diagram: KnotoidDiagram, x: FiniteBiquandle,
                br: VirtualBracket | None = None) -> Invariants:
-    """Enumerate the colorings once, evaluating each under ``br`` if given."""
+    """Enumerate the colorings once, evaluating each under ``br`` if given;
+    BracketError if ``br`` is over another biquandle than ``x``."""
     if br is None:
         return Invariants(counting_matrix(diagram, x))
+    if br.biquandle is not x and br.biquandle != x:
+        raise BracketError("the bracket is over another biquandle")
     value = _evaluator(_plan(diagram), br)
     cells: list[list[dict[int, int]]] = [[{} for _ in range(x.n)]
                                          for _ in range(x.n)]
@@ -642,12 +643,6 @@ def invariants(diagram: KnotoidDiagram, x: FiniteBiquandle,
                       [[BracketPolynomial(br.modulus,
                                           tuple(sorted(c.items(), reverse=True)))
                         for c in row] for row in cells])
-
-
-def bracket_multiset(diagram: KnotoidDiagram, x: FiniteBiquandle,
-                     br: VirtualBracket) -> dict[int, int]:
-    """Multiset of values over all colorings, as value -> multiplicity."""
-    return bracket_polynomial(diagram, x, br).as_dict()
 
 
 def bracket_polynomial(diagram: KnotoidDiagram, x: FiniteBiquandle,
@@ -666,18 +661,18 @@ def bracket_matrix(diagram: KnotoidDiagram, x: FiniteBiquandle,
 
 @dataclass(frozen=True)
 class SymbolicTerm:
-    """delta^delta_exp * omega^omega_exp * product of factors, one factor per
-    classical crossing: (letter, (a_i, a_j)) with 1-based semi-arc labels."""
-    omega_exp: int
+    """delta^delta_exp * product of factors, one factor per classical
+    crossing: (letter, (a_i, a_j)) with 1-based semi-arc labels."""
     delta_exp: int
     factors: tuple[tuple[str, tuple[int, int]], ...]
 
 
 @dataclass(frozen=True)
 class SymbolicBracket:
-    """The terms of the state sum, and the diagram's presentation, against
-    which :func:`evaluate_symbolic` checks a coloring."""
-    crossing_count: int
+    """omega^omega_exp times the sum of the terms of the state sum; every
+    term shares the exponent, -writhe.  The diagram's presentation is what
+    :func:`evaluate_symbolic` checks a coloring against."""
+    omega_exp: int
     terms: tuple[SymbolicTerm, ...]
     presentation: Presentation
 
@@ -724,22 +719,21 @@ def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
     crossings = [("ABV" if sign > 0 else "CDU", (i + 1, j + 1))
                  for sign, (i, j), _ in map(plan.levels.__getitem__, where)]
     terms = tuple(
-        SymbolicTerm(-plan.writhe, m,
-                     tuple([(letters[k], pair)
-                            for (letters, pair), k in zip(crossings, kinds)]))
+        SymbolicTerm(m, tuple([(letters[k], pair)
+                               for (letters, pair), k in zip(crossings, kinds)]))
         for kinds, m in states)
-    return SymbolicBracket(diagram.classical_count, terms,
-                           crossing_relations(diagram))
+    return SymbolicBracket(-plan.writhe, terms, crossing_relations(diagram))
 
 
 def render_symbolic(sym: SymbolicBracket) -> str:
+    """The sum term by term, each with the shared omega power."""
     if not sym.terms:
         return "0"
+    e = sym.omega_exp
+    omega = [] if e == 0 else ["w" if e == 1 else "w^%d" % e]
     parts = []
     for t in sym.terms:
-        bits = []
-        if t.omega_exp:
-            bits.append("w^%d" % t.omega_exp if t.omega_exp != 1 else "w")
+        bits = omega[:]
         bits.append("d^%d" % t.delta_exp if t.delta_exp != 1 else "d")
         for letter, (i, j) in t.factors:
             bits.append("%s[a%d,a%d]" % (letter, i, j))
@@ -761,6 +755,4 @@ def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],
         for letter, (i, j) in t.factors:
             prod = prod * br.table(letter)[coloring[i - 1]][coloring[j - 1]] % m
         total = (total + prod) % m
-    # all terms share the same omega exponent (-writhe)
-    oexp = sym.terms[0].omega_exp if sym.terms else 0
-    return total * pow(br.omega, oexp, m) % m
+    return total * pow(br.omega, sym.omega_exp, m) % m

@@ -192,7 +192,7 @@ def _format_csv(records: list[dict]) -> str:
 
 
 def _verified_bracket(args, x: FiniteBiquandle) -> VirtualBracket | None:
-    if not getattr(args, "bracket", None):
+    if not args.bracket:
         return None
     br = _load_bracket(args.bracket, x)
     if not args.no_verify:
@@ -327,7 +327,7 @@ def cmd_moves_insert(args) -> int:
     d = _load_diagram(args.diagram)
     try:
         rewritten = insert_move(d, args.move, args.gap, args.gap2,
-                                sign=1 if args.sign >= 0 else -1,
+                                sign=args.sign,
                                 over_first=not args.under_first,
                                 parallel=not args.antiparallel)
     except DiagramError as exc:
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     bqsub = bq.add_subparsers(dest="subcommand", required=True)
     p = bqsub.add_parser("check", help="verify the axioms of a table file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_biquandle_check, command="biquandle check")
+    p.set_defaults(func=cmd_biquandle_check)
     p = bqsub.add_parser("alexander", help="emit an affine biquandle table")
     p.add_argument("modulus", type=int)
     p.add_argument("t", type=int)
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-under", type=int, default=0)
     p.add_argument("--shift-over", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_biquandle_alexander, command="biquandle alexander")
+    p.set_defaults(func=cmd_biquandle_alexander)
 
     p = sub.add_parser("invariants", help="compute invariants of one diagram")
     p.add_argument("diagram")
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_invariants, command="invariants")
+    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("corpus", help="tabulate invariants for a directory")
     p.add_argument("--dir", required=True)
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_corpus, command="corpus")
+    p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("selftest", help="randomized move-invariance check")
     p.add_argument("diagram")
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest, command="selftest")
+    p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("search", help="search brackets over a prime field")
     p.add_argument("--biquandle", required=True)
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--require-delta-unit", action="store_true")
     p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_search, command="search")
+    p.set_defaults(func=cmd_search)
 
     mv = sub.add_parser("moves", help="Reidemeister move rewrites")
     mvsub = mv.add_subparsers(dest="subcommand", required=True)
@@ -436,21 +436,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--move", choices=["R1", "VR1", "R2", "VR2"], required=True)
     p.add_argument("--gap", type=int, required=True)
     p.add_argument("--gap2", type=int)
-    p.add_argument("--sign", type=int, default=1)
+    p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--under-first", action="store_true")
     p.add_argument("--antiparallel", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_moves_insert, command="moves insert")
+    p.set_defaults(func=cmd_moves_insert)
 
     brk = sub.add_parser("bracket", help="bracket utilities")
     brksub = brk.add_subparsers(dest="subcommand", required=True)
     p = brksub.add_parser("check", help="verify bracket axioms")
     p.add_argument("file")
     p.add_argument("--biquandle", required=True)
-    p.set_defaults(func=cmd_bracket_check, command="bracket check")
+    p.set_defaults(func=cmd_bracket_check)
     p = brksub.add_parser("fundamental", help="print the symbolic state sum")
     p.add_argument("diagram")
-    p.set_defaults(func=cmd_bracket_fundamental, command="bracket fundamental")
+    p.set_defaults(func=cmd_bracket_fundamental)
     return ap
 
 

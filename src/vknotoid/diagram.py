@@ -148,14 +148,6 @@ class KnotoidDiagram:
     def semi_arc_count(self) -> int:
         return 2 * self.classical_count + 1
 
-    @property
-    def tail_arc(self) -> int:
-        return 0
-
-    @property
-    def head_arc(self) -> int:
-        return 2 * self.classical_count
-
     def crossings(self) -> dict[int, Crossing]:
         """Classical crossings keyed by id, ports as semi-arc indices."""
         where: dict[int, dict[str, int]] = {}

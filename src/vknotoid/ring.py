@@ -53,10 +53,6 @@ class BracketPolynomial:
                 norm[e % modulus.m] = norm.get(e % modulus.m, 0) + mult
         return BracketPolynomial(modulus, tuple(sorted(norm.items(), reverse=True)))
 
-    @staticmethod
-    def zero(modulus: Modulus) -> "BracketPolynomial":
-        return BracketPolynomial(modulus, ())
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
@@ -89,7 +85,7 @@ def poly_parse(text: str, modulus: Modulus) -> BracketPolynomial:
     """Parse the poly_render grammar back into a polynomial."""
     text = text.strip()
     if text == "0":
-        return BracketPolynomial.zero(modulus)
+        return BracketPolynomial(modulus)
     acc: dict[int, int] = {}
     for raw in text.split("+"):
         m = _TERM_RE.match(raw.strip())

@@ -162,7 +162,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     # a triple's equations become checkable once its deepest cell is
     # assigned; each check reads the candidates at its six cells
     checks_at: list[list[itemgetter]] = [[] for _ in order]
-    for cells in triple_cells(x)[1]:
+    for cells in triple_cells(x)[0]:
         checks_at[max(map(depth_of.__getitem__, cells))].append(
             itemgetter(*cells))
     last = len(order)

@@ -182,12 +182,13 @@ def test_sideways_inverse_round_trip(z5_alexander, z3_coloring):
         for a in range(x.n):
             for b in range(x.n):
                 p, q = back[a][b]
-                assert x.sideways(p, q) == (a, b)
+                assert (x.over_op(q, p), x.under_op(p, q)) == (a, b)
     assert singleton.solvers()[1] == (((0, 0),),)
 
 
 def test_sideways_inverse_of_forward(z5_alexander):
-    a, b = z5_alexander.sideways(1, 2)
+    x = z5_alexander
+    a, b = x.over_op(2, 1), x.under_op(1, 2)
     assert z5_alexander.solvers()[1][a][b] == (1, 2)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -10,14 +11,15 @@ import pytest
 from vknotoid import bracket, search
 from vknotoid.bracket import (BracketError, ColoringMismatch, State,
                               VirtualBracket,
-                              bracket_matrix, bracket_multiset,
-                              bracket_polynomial, diagonal_residuals,
+                              bracket_matrix, bracket_polynomial,
+                              diagonal_residuals,
                               enumerate_states, evaluate,
                               evaluate_symbolic, fundamental_bracket,
-                              pair_residuals, parse_bracket, render_bracket,
+                              invariants, pair_residuals, parse_bracket, render_bracket,
                               render_symbolic, triple_residuals, triple_slots,
                               verify_bracket_axioms)
-from vknotoid.biquandle import AxiomReport, FiniteBiquandle, verify_biquandle_axioms
+from vknotoid.biquandle import (AxiomReport, FiniteBiquandle,
+                                alexander_biquandle, verify_biquandle_axioms)
 from vknotoid.coloring import enumerate_colorings
 from vknotoid.diagram import crossing_relations, parse_diagram
 from vknotoid.ring import Modulus, NotAUnit, poly_render
@@ -79,7 +81,7 @@ def single_entry_mutations(br, count, seed=0):
     rng = random.Random(seed)
     for _ in range(count):
         letter = rng.choice("ABVCDU")
-        i, j = rng.randrange(3), rng.randrange(3)
+        i, j = rng.randrange(br.biquandle.n), rng.randrange(br.biquandle.n)
         rows = [list(r) for r in br.table(letter)]
         rows[i][j] = rng.randrange(5)
         yield dataclasses.replace(br, **{letter: tuple(map(tuple, rows))})
@@ -359,6 +361,61 @@ def test_reports_do_not_depend_on_who_filled_the_memo(z3_involution):
     assert reports == [plain_report(br) for br in tables]
 
 
+def constant_bracket(x, m, delta, omega):
+    """V = omega and U = 1/omega at every pair, A = B = C = D = 0: a valid
+    bracket over any table ``x``."""
+    n = x.n
+    zero = ((0,) * n,) * n
+    return VirtualBracket(x, Modulus(m), zero, zero, ((omega,) * n,) * n,
+                          zero, zero, ((pow(omega, -1, m),) * n,) * n,
+                          delta, omega)
+
+
+def random_brackets(x, m, count, seed):
+    """Brackets over ``x`` with uniform coefficients, delta and unit omega
+    mod m; they fail nearly every family at nearly every instance."""
+    rng = random.Random(seed)
+    units = [w for w in range(1, m) if math.gcd(w, m) == 1]
+    for _ in range(count):
+        tables = [tuple(tuple(rng.randrange(m) for _ in range(x.n))
+                        for _ in range(x.n)) for _ in range(6)]
+        yield VirtualBracket(x, Modulus(m), *tables, rng.randrange(m),
+                             rng.choice(units))
+
+
+# n = 4 tables whose two operations read both arguments asymmetrically, as
+# GENERIC does for n = 3; not a biquandle
+GENERIC4 = FiniteBiquandle(
+    tuple(tuple((a + 3 * b) % 4 for b in range(4)) for a in range(4)),
+    tuple(tuple((3 * a + b + 1) % 4 for b in range(4)) for a in range(4)))
+
+
+@pytest.mark.parametrize("table", ["alexander2", "alexander4", "generic4",
+                                   "z5_alexander"])
+def test_verifier_matches_the_oracle_beyond_three_elements(table,
+                                                           z5_alexander):
+    # the triple witnesses are read off each triple's index, (t // n^2,
+    # t // n % n, t % n) + 1: mutations of a valid bracket fail at a few
+    # instances each, random brackets at nearly all; cold memos, then again
+    # in reverse order on the memos they warmed
+    x = {"alexander2": alexander_biquandle(2, 1, 1),
+         "alexander4": alexander_biquandle(4, 3, 1, shift_under=1),
+         "generic4": GENERIC4, "z5_alexander": z5_alexander}[table]
+    base = constant_bracket(x, 5, 2, 3)
+    assert plain_report(base).passed
+    tables = [base, *single_entry_mutations(base, 60, seed=x.n),
+              *random_brackets(x, 5, 4, seed=x.n)]
+    clear_verifier_memo()
+    cold = [verify_bracket_axioms(br) for br in tables]
+    warm = [verify_bracket_axioms(br) for br in reversed(tables)][::-1]
+    assert warm == cold
+    assert cold == [plain_report(br) for br in tables]
+    assert sum(not r.passed for r in cold) > 40
+    # triple witnesses in every position of every coordinate
+    triples = {w for r in cold for _, w in r.violations if len(w) == 3}
+    assert {w[k] for w in triples for k in range(3)} == set(range(1, x.n + 1))
+
+
 @pytest.mark.parametrize("letter", "ABVCDU")
 @pytest.mark.parametrize("defect", ["missing row", "extra row", "short row",
                                     "long row"])
@@ -543,7 +600,7 @@ def test_trivial_diagram_evaluates_to_delta(z3_involution, z5_bracket):
     for i in range(3):
         assert evaluate(trivial, (i,), z5_bracket) == z5_bracket.delta
     # n copies of delta; matrix is u^delta times the identity
-    assert bracket_multiset(trivial, z3_involution, z5_bracket) \
+    assert bracket_polynomial(trivial, z3_involution, z5_bracket).as_dict() \
         == {z5_bracket.delta: 3}
     mat = bracket_matrix(trivial, z3_involution, z5_bracket)
     for i in range(3):
@@ -583,12 +640,13 @@ def test_coloring_needs_integer_colors(corpus, z5_bracket):
 
 
 def test_multiset_of_2_1_1(corpus, z3_involution, z5_bracket):
-    assert bracket_multiset(corpus["2.1.1"], z3_involution, z5_bracket) \
-        == {3: 2, 2: 1}
+    assert bracket_polynomial(corpus["2.1.1"], z3_involution,
+                              z5_bracket).as_dict() == {3: 2, 2: 1}
 
 
 def test_multiset_of_4_1_1(corpus, z3_involution, z5_bracket):
-    assert bracket_multiset(corpus["4.1.1"], z3_involution, z5_bracket) == {2: 3}
+    assert bracket_polynomial(corpus["4.1.1"], z3_involution,
+                              z5_bracket).as_dict() == {2: 3}
 
 
 def test_polynomials(corpus, z3_involution, z3_shift, z5_bracket, z37_bracket):
@@ -626,6 +684,24 @@ def test_matrix_distinguishes_2_1_1_from_3_1_1(corpus, z3_shift, z37_bracket):
     assert d211 != d311
 
 
+def test_a_bracket_over_another_biquandle_is_rejected(
+        corpus, z3_coloring, z3_involution, z5_alexander, z5_bracket):
+    # z5_bracket is over z3_involution: z3_coloring has its size but other
+    # tables, z5_alexander another size
+    d = corpus["3.1.2"]
+    for x in (z3_coloring, z5_alexander):
+        for call in (invariants, bracket_polynomial, bracket_matrix):
+            with pytest.raises(BracketError, match="another biquandle"):
+                call(d, x, z5_bracket)
+    # an equal table that is another object is the same biquandle
+    copy = FiniteBiquandle(*(tuple(tuple(list(row)) for row in table)
+                             for table in (z3_involution.under_table,
+                                           z3_involution.over_table)))
+    assert copy is not z5_bracket.biquandle
+    assert bracket_matrix(d, copy, z5_bracket) \
+        == bracket_matrix(d, z3_involution, z5_bracket)
+
+
 def test_matrix_multiplicities_refine_counting_matrix(corpus, z3_coloring,
                                                       z5_bracket, z3_involution):
     from vknotoid.coloring import counting_matrix
@@ -644,14 +720,14 @@ def test_fundamental_of_trivial():
     sym = fundamental_bracket(parse_diagram(""))
     assert len(sym.terms) == 1
     t = sym.terms[0]
-    assert t.omega_exp == 0 and t.delta_exp == 1 and t.factors == ()
+    assert sym.omega_exp == 0 and t.delta_exp == 1 and t.factors == ()
     assert render_symbolic(sym) == "d"
 
 
 def test_fundamental_of_2_1_1_reproduces_reference_structure(corpus):
     sym = fundamental_bracket(corpus["2.1.1"])
     assert len(sym.terms) == 9
-    assert all(t.omega_exp == 2 for t in sym.terms)
+    assert sym.omega_exp == 2
     for t in sym.terms:
         pairs = [p for _, p in t.factors]
         assert pairs == [(4, 1), (3, 4)]

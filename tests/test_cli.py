@@ -341,6 +341,27 @@ def test_moves_insert(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("sign", [0, 2, 7])
+def test_moves_insert_takes_only_sign_1_or_minus_1(sign, capsys):
+    # the library raises SignError for such a sign; the command line refuses
+    # it as a usage error instead of writing a positive crossing
+    with pytest.raises(SystemExit) as exc:
+        run(["moves", "insert", corpus_dir() / "2.1.1.knd", "--move", "R1",
+             "--gap", 0, "--sign", sign])
+    assert exc.value.code == 2
+    assert "argument --sign: invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sign, tokens", [(1, "O+3,U+3,"), (-1, "O-3,U-3,")])
+def test_moves_insert_writes_the_sign(tmp_path, sign, tokens):
+    # 2.1.1 has crossings 1 and 2, so the kink at gap 0 is crossing 3
+    out = tmp_path / "kink.knd"
+    assert run(["moves", "insert", corpus_dir() / "2.1.1.knd", "--move", "R1",
+                "--gap", 0, "--sign", sign, "--out", out]) == 0
+    assert out.read_text().splitlines()[1] \
+        == "code " + tokens + "O-1,V1,U-2,U-1,V1,O-2"
+
+
 def test_bracket_check(capsys):
     rc = run(["bracket", "check", BRK / "z5_involution.bvb",
               "--biquandle", BIQ / "z3_involution.biq"])

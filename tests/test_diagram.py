@@ -10,7 +10,6 @@ def test_parse_trivial():
     d = parse_diagram("")
     assert d.classical_count == 0 and d.virtual_count == 0
     assert d.semi_arc_count == 1
-    assert d.tail_arc == d.head_arc == 0
     assert parse_diagram("name k0\ncode -\n").classical_count == 0
 
 
@@ -61,7 +60,6 @@ def test_writhe(corpus):
 def test_semi_arc_structure(corpus):
     for d in corpus.values():
         assert d.semi_arc_count == 2 * d.classical_count + 1
-        assert d.head_arc == 2 * d.classical_count
         for c in d.crossings().values():
             assert c.u_out == c.u_in + 1
             assert c.o_out == c.o_in + 1

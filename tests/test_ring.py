@@ -12,7 +12,7 @@ def test_modulus_validation():
 def test_poly_render_examples():
     z5 = Modulus(5)
     assert poly_render(BracketPolynomial.from_dict(z5, {3: 2, 2: 1})) == "2u^3+u^2"
-    assert poly_render(BracketPolynomial.zero(z5)) == "0"
+    assert poly_render(BracketPolynomial(z5)) == "0"
     z37 = Modulus(37)
     p = BracketPolynomial.from_dict(z37, {19: 1, 27: 1, 34: 1})
     assert poly_render(p) == "u^34+u^27+u^19"
