@@ -46,6 +46,11 @@ class AxiomReport:
     passed: bool
     violations: tuple[tuple[str, tuple], ...]
 
+    def __post_init__(self) -> None:
+        if self.passed != (not self.violations):
+            raise ValueError("a report passes exactly when it has no "
+                             "violations")
+
     def __str__(self) -> str:
         if self.passed:
             return "all axioms hold"

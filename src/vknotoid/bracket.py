@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
 from .coloring import _PLANS, cached_plan, counting_matrix, iter_colorings
-from .diagram import (Crossing, KnotoidDiagram, Presentation,
+from .diagram import (KnotoidDiagram, Presentation,
                       crossing_relations, relation_holds, writhe)
 from .ring import BracketPolynomial, Modulus, NotAUnit
 
@@ -421,21 +421,26 @@ class _StatePlan(NamedTuple):
 
 
 # The plan cache, ``_PLANS``, is imported from coloring: a diagram's entry
-# maps None to its state plan and each biquandle to its coloring plan, so
-# ``_PLANS.clear()`` forgets both.
+# maps None to its state plan, ``coloring._SKELETON`` to its solve skeleton
+# and each biquandle to its coloring plan, so ``_PLANS.clear()`` forgets all
+# three.
 
 # A crossing's four ports as slots 0 u_in, 1 u_out, 2 o_in, 3 o_out, and the
 # slot each smoothing joins to each slot, in SMOOTHINGS order.
 _JOIN = ((3, 2, 1, 0), (2, 3, 0, 1), (1, 0, 3, 2))
+# At a kink, o_in = u_out (o - u = 1) or o_out = u_in (o - u = -1): the two
+# slots of the shared semi-arc reach each other.
+_KINK = {1: (-1, 2, 1, -1), -1: (3, -1, -1, 0)}
 
 
 @cache
 def _smooth(outside: tuple[int, ...]) -> tuple[tuple[int, tuple], ...]:
-    """Per smoothing, the closed loops it makes and the pairs of slots whose
-    boundary ends it connects.  ``outside[e]`` is the slot that slot e already
-    reaches away from the crossing, or -1 when it reaches the boundary."""
+    """Per smoothing, its index + 3 * the closed loops it makes, and the
+    pairs of slots whose boundary ends it connects.  ``outside[e]`` is the
+    slot that slot e already reaches away from the crossing, or -1 when it
+    reaches the boundary."""
     out = []
-    for join in _JOIN:
+    for kind, join in enumerate(_JOIN):
         seen: set[int] = set()
         pairs = []
         for e in range(4):
@@ -457,17 +462,8 @@ def _smooth(outside: tuple[int, ...]) -> tuple[tuple[int, tuple], ...]:
                     seen.add(e)
                     seen.add(join[e])
                     e = outside[join[e]]
-        out.append((loops, tuple(pairs)))
+        out.append((kind + 3 * loops, tuple(pairs)))
     return tuple(out)
-
-
-def _width_after(cr: Crossing, unswept: list[int], width: int) -> int:
-    """Boundary size after sweeping ``cr``: a semi-arc is on the boundary
-    while exactly one of its two ends is unswept."""
-    ports = (cr.u_in, cr.u_out, cr.o_in, cr.o_out)
-    for a in set(ports):
-        width += (unswept[a] > ports.count(a)) - (unswept[a] == 1)
-    return width
 
 
 def _plan(diagram: KnotoidDiagram) -> _StatePlan:
@@ -489,57 +485,65 @@ def _compile_sweep(diagram: KnotoidDiagram, _key: None) -> _StatePlan:
     is a loop (at most two per crossing).  After the last crossing the only
     state is the open component, the tail matched to the head.
     """
-    todo = list(diagram.crossings().items())
+    crossings = diagram.crossings()
     unswept = [2] * diagram.semi_arc_count
+    owner = [p.crossing for p in diagram.classical_passes]
+    n = len(owner)
+    # The next crossing has the least score: n times the boundary's growth
+    # if it is swept, plus its second pass (< n).  The growth is 2 per
+    # unswept end of its ports less 12 (14 at a kink, whose shared semi-arc
+    # never joins the boundary): 4 (2 at a kink) until a neighbour is swept.
+    score = {cid: (2 if o - u in _KINK else 4) * n + max(u, o)
+             for cid, (_, u, o) in crossings.items()}
     boundary: list[int] = []
-    states: dict[tuple[int, ...], int] = {(): 0}
+    states: list[tuple[int, ...]] = [()]
     sweep, levels = [], []
-    while todo:
-        cid, cr = min(todo, key=lambda item: (
-            _width_after(item[1], unswept, len(boundary)),
-            max(item[1].under_pass, item[1].over_pass)))
-        todo.remove((cid, cr))
-        ports = (cr.u_in, cr.u_out, cr.o_in, cr.o_out)
-        for a in ports:
+    while score:
+        cid = min(score, key=score.__getitem__)
+        del score[cid]
+        cr = crossings[cid]
+        here = (cr.u_in, cr.u_out, cr.o_in, cr.o_out)
+        fix = _KINK.get(here[2] - here[0], (-1, -1, -1, -1))
+        for a in here:
             unswept[a] -= 1
+        # a port's far end, at the pass before or after, is swept: the growth
+        # of that pass's crossing falls by 2
+        for k in (here[0] - 1, here[1], here[2] - 1, here[3]):
+            if 0 <= k < n and owner[k] in score:
+                score[owner[k]] -= 2 * n
         # the boundary after the crossing: the kept old semi-arcs in their
         # order, then the crossing's fresh ones that keep an unswept end
         old = {a: i for i, a in enumerate(boundary)}
         kept = [i for i, a in enumerate(boundary) if unswept[a]]
         after = [boundary[i] for i in kept] + [
-            a for a in dict.fromkeys(ports) if a not in old and unswept[a]]
+            a for a in here if a not in old and unswept[a]]
         at = {a: k for k, a in enumerate(after)}
         remap = [at.get(a) for a in boundary]
-        # what each slot reaches whatever the state: a fresh semi-arc the
-        # boundary through itself (its position in ends), a kink the other
-        # slot; the slots of old semi-arcs are filled in per state
-        fixed = [next((f for f, b in enumerate(ports) if b == a and f != e), -1)
-                 for e, a in enumerate(ports)]
-        ends = [at.get(a) for a in ports]
-        slot = {old[a]: e for e, a in enumerate(ports) if a in old}
-        nfresh = len(after) - len(kept)
-        successors: dict[tuple[int, ...], int] = {}
-        incoming: list[list[tuple[int, int]]] = []
-        for state, s in states.items():
-            outside, end = fixed[:], ends[:]
-            for i, e in slot.items():
-                f = slot.get(state[i], -1)
-                outside[e] = f
+        # what each slot reaches whatever the state: a kink slot the other
+        # slot (fix), a fresh semi-arc the boundary through itself (its
+        # position in ends); the slots of old semi-arcs are filled in per state
+        ends = [at.get(a) for a in here]
+        slots = [(old[a], e) for e, a in enumerate(here) if a in old]
+        slot = dict(slots)
+        fresh = [0] * (len(after) - len(kept))
+        successors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for s, state in enumerate(states):
+            outside, end = list(fix), ends[:]
+            for i, e in slots:
+                outside[e] = f = slot.get(state[i], -1)
                 if f < 0:
                     end[e] = remap[state[i]]
-            base = [remap[state[i]] for i in kept] + [0] * nfresh
-            for kind, (loops, pairs) in enumerate(_smooth(tuple(outside))):
+            base = [remap[state[i]] for i in kept] + fresh
+            for edge, pairs in _smooth(tuple(outside)):
                 mate = base[:]
                 for e, f in pairs:
                     mate[end[e]] = end[f]
                     mate[end[f]] = end[e]
-                t = successors.setdefault(tuple(mate), len(successors))
-                if t == len(incoming):
-                    incoming.append([])
-                incoming[t].append((s, kind + 3 * loops))
-        boundary, states = after, successors
+                successors.setdefault(tuple(mate), []).append((s, edge))
+        boundary, states = after, list(successors)
         sweep.append(cid)
-        levels.append((cr.sign, cr.pair(), tuple(map(tuple, incoming))))
+        levels.append((cr.sign, cr.pair(),
+                       tuple(map(tuple, successors.values()))))
     assert len(states) == 1
     return _StatePlan(writhe(diagram), tuple(sweep), tuple(levels))
 
@@ -726,9 +730,8 @@ def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
 
 
 def render_symbolic(sym: SymbolicBracket) -> str:
-    """The sum term by term, each with the shared omega power."""
-    if not sym.terms:
-        return "0"
+    """The sum term by term, each with the shared omega power; a diagram
+    has 3^c >= 1 terms."""
     e = sym.omega_exp
     omega = [] if e == 0 else ["w" if e == 1 else "w^%d" % e]
     parts = []

@@ -14,12 +14,14 @@ color that is already known becomes a check), and when nothing more
 follows, branch on the semi-arc that completes a determining pair of the
 first unfinished crossing in order of first pass.  The plan branches only
 where no crossing forces a color, so its cost grows with the number of such
-branch points, not with the frontier width of the traversal.  A plan
-depends only on the diagram's passes and the biquandle's tables, so it is
-compiled once per (diagram, biquandle) and kept in the plan cache
-:data:`_PLANS`.  Its entry per diagram is a dict from key to plan: the
-biquandle for a coloring plan, None for the state plan
-(:func:`vknotoid.bracket._plan`); :func:`cached_plan` is the one way in.
+branch points, not with the frontier width of the traversal.  The order
+of the steps depends only on the diagram's passes, so it is compiled once
+per diagram into a skeleton that names each solve table by index, and bound
+to a biquandle's tables and n in one pass over its steps.  Both are kept in
+the plan cache :data:`_PLANS`, whose entry per diagram is a dict from key
+to plan: None for the state plan (:func:`vknotoid.bracket._plan`),
+:data:`_SKELETON` for the skeleton and each biquandle for the skeleton bound
+to it; :func:`cached_plan` is the one way in.
 
 The plan runs on an explicit stack, so the depth of a diagram is bounded by
 memory, not by the interpreter's recursion limit.  Colorings are yielded one
@@ -52,6 +54,7 @@ Coloring = tuple[int, ...]
 # clearing either forgets every plan.
 _PLANS: dict[tuple, dict] = {}
 _PLAN_LIMIT = 64
+_SKELETON = "solve skeleton"        # the key of a diagram's solve skeleton
 
 
 def _store(cache: dict, key, value):
@@ -75,14 +78,12 @@ def cached_plan(diagram: KnotoidDiagram, key, compile):
     return plan
 
 
-def _solve_plan(diagram: KnotoidDiagram, x: FiniteBiquandle) -> list:
-    """Plan steps in run order.  A branch step is the list of its stack
-    entries (index of the next step, semi-arc, color); a derive step is
-    (table, s0, s1, t0, t1, check0, check1): table[colors[s0]][colors[s1]]
-    gives the colors of t0 and t1, each checked if already known, else
-    assigned."""
+def _solve_skeleton(diagram: KnotoidDiagram, _key: str) -> list:
+    """The solve plan's steps in run order, without the biquandle: a branch
+    step is the semi-arc it colors; a derive step is (table index, s0, s1,
+    t0, t1, check0, check1): table[colors[s0]][colors[s1]] gives the colors
+    of t0 and t1, each checked if already known, else assigned."""
     nseg = diagram.semi_arc_count
-    tables = x.solvers() if nseg > 1 else ()
     # per crossing in order of first pass: its solvers as (table index,
     # known pair, derived pair), from S(a, b) = (c, d)
     solves = []
@@ -100,7 +101,7 @@ def _solve_plan(diagram: KnotoidDiagram, x: FiniteBiquandle) -> list:
     steps: list = []
 
     def branch(k: int) -> None:
-        steps.append([(len(steps) + 1, k, v) for v in range(x.n - 1, -1, -1)])
+        steps.append(k)
         known[k] = True
         queue = [k]
         while queue:
@@ -110,7 +111,7 @@ def _solve_plan(diagram: KnotoidDiagram, x: FiniteBiquandle) -> list:
                 for t, s0, s1, t0, t1 in solves[i]:
                     if known[s0] and known[s1]:
                         # at a kink two of the four semi-arcs coincide
-                        steps.append((tables[t], s0, s1, t0, t1, known[t0],
+                        steps.append((t, s0, s1, t0, t1, known[t0],
                                       known[t1] or t1 == t0))
                         done[i] = True
                         for u in (t0, t1):
@@ -129,6 +130,18 @@ def _solve_plan(diagram: KnotoidDiagram, x: FiniteBiquandle) -> list:
                         for _, s0, s1, _, _ in sol
                         if known[s0] != known[s1]))
     return steps
+
+
+def _solve_plan(diagram: KnotoidDiagram, x: FiniteBiquandle) -> list:
+    """The diagram's skeleton bound to ``x``: a branch step becomes the list
+    of its stack entries (index of the next step, semi-arc, color), and a
+    derive step's table index its solve table."""
+    skeleton = cached_plan(diagram, _SKELETON, _solve_skeleton)
+    tables = x.solvers() if len(skeleton) > 1 else ()
+    colors = range(x.n - 1, -1, -1)
+    return [[(i, step, v) for v in colors] if step.__class__ is int
+            else (tables[step[0]],) + step[1:]
+            for i, step in enumerate(skeleton, 1)]
 
 
 def iter_colorings(diagram: KnotoidDiagram,

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .biquandle import FiniteBiquandle
 
@@ -130,34 +131,39 @@ class KnotoidDiagram:
             if count != 2:
                 raise PairingError("virtual crossing %d occurs %d times" % (vid, count))
 
-    # -- derived structure -------------------------------------------------
+    # -- derived structure, computed once (the fields are frozen) ----------
 
-    @property
+    @cached_property
     def classical_passes(self) -> tuple[Pass, ...]:
         return tuple(p for p in self.passes if p.kind != "V")
 
-    @property
+    @cached_property
     def classical_count(self) -> int:
         return len(self.classical_passes) // 2
 
-    @property
+    @cached_property
     def virtual_count(self) -> int:
-        return sum(1 for p in self.passes if p.kind == "V") // 2
+        return (len(self.passes) - len(self.classical_passes)) // 2
 
-    @property
+    @cached_property
     def semi_arc_count(self) -> int:
         return 2 * self.classical_count + 1
 
-    def crossings(self) -> dict[int, Crossing]:
-        """Classical crossings keyed by id, ports as semi-arc indices."""
+    def crossings(self) -> Mapping[int, Crossing]:
+        """Classical crossings keyed by id, ports as semi-arc indices; a
+        read-only view, built on the first call."""
+        return self._crossings
+
+    @cached_property
+    def _crossings(self) -> Mapping[int, Crossing]:
         where: dict[int, dict[str, int]] = {}
         sign: dict[int, int] = {}
         for k, p in enumerate(self.classical_passes):
             where.setdefault(p.crossing, {})[p.kind] = k
             sign[p.crossing] = p.sign
-        return {cid: Crossing(sign[cid], spots["U"], spots["O"])
-                for cid, spots in where.items()}
-
+        return MappingProxyType({
+            cid: Crossing(sign[cid], spots["U"], spots["O"])
+            for cid, spots in where.items()})
 
 
 def writhe(diagram: KnotoidDiagram) -> int:

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from vknotoid import bracket
-from vknotoid.biquandle import (FiniteBiquandle, NotAUnit, RangeError,
-                                ShapeError, alexander_biquandle,
+from vknotoid import bracket, coloring
+from vknotoid.biquandle import (AxiomReport, FiniteBiquandle, NotAUnit,
+                                RangeError, ShapeError, alexander_biquandle,
                                 parse_operation_matrix,
                                 render_operation_matrix,
                                 verify_biquandle_axioms)
@@ -93,7 +93,7 @@ def test_equal_tables_hash_once_and_share_their_caches(z3_coloring, corpus):
     d = corpus["3.1.1"]
     bracket._PLANS.clear()
     assert sorted(iter_colorings(d, z3_coloring)) == sorted(iter_colorings(d, y))
-    assert list(bracket._PLANS[d.passes]) == [z3_coloring]
+    assert list(bracket._PLANS[d.passes]) == [coloring._SKELETON, z3_coloring]
     assert copy_of(alexander_biquandle(5, 2, 4)) != z3_coloring
 
 
@@ -165,6 +165,15 @@ def test_axiom_violation_column_bijection():
     report = verify_biquandle_axioms(mutated)
     assert not report.passed
     assert any(axiom == "under-column" for axiom, _ in report.violations)
+
+
+def test_a_report_passes_exactly_when_it_has_no_violations():
+    assert str(AxiomReport(True, ())) == "all axioms hold"
+    assert str(AxiomReport(False, (("diagonal", (1,)),))) == "diagonal at (1,)"
+    with pytest.raises(ValueError):
+        AxiomReport(False, ())
+    with pytest.raises(ValueError):
+        AxiomReport(True, (("diagonal", (1,)),))
 
 
 def test_columns_are_permutations(z5_alexander, z3_coloring):

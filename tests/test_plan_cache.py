@@ -1,7 +1,8 @@
-"""The plan cache: one entry per diagram maps None to its state plan and
-each biquandle to its coloring plan.  Warm and cold results are checked bit
-for bit against the 3^c state sum and the traversal walk, compiles are
-counted, and the cache's bound is per diagram and per entry."""
+"""The plan cache: one entry per diagram maps None to its state plan,
+coloring._SKELETON to its solve skeleton and each biquandle to the skeleton
+bound to it.  Warm and cold results are checked bit for bit against the 3^c
+state sum and the traversal walk, compiles are counted, and the cache's
+bound is per diagram and per entry."""
 
 import random
 from collections import Counter
@@ -69,21 +70,24 @@ def test_cached_invariants_match_the_oracles(cold, corpus, z3_involution,
         for k, (x, br) in enumerate(configs):
             assert invariants(d, x, br) == want[k, i]
     assert set(bracket._PLANS[codes[0].passes]) \
-        == {None, z3_involution, z5_alexander, z3_coloring}
+        == {None, coloring._SKELETON, z3_involution, z5_alexander, z3_coloring}
     # some cell under the random bracket holds several terms, in order
     assert any(len(p.terms) > 1 for (k, _), inv in want.items() if k == 3
                for row in inv.bracket_matrix for p in row)
 
 
-def count_compiles(monkeypatch) -> list:
-    calls = []
-    compile_plan = coloring._solve_plan
+def count_compiles(monkeypatch) -> tuple[list, list, list]:
+    """The passes of each diagram whose solve skeleton, coloring plan
+    (a binding of the skeleton) or state plan is compiled from now on."""
+    calls = ([], [], [])
+    for (module, name), seen in zip(((coloring, "_solve_skeleton"),
+                                     (coloring, "_solve_plan"),
+                                     (bracket, "_compile_sweep")), calls):
+        def counted(diagram, key, compile=getattr(module, name), seen=seen):
+            seen.append(diagram.passes)
+            return compile(diagram, key)
 
-    def counted(diagram, x):
-        calls.append(diagram.passes)
-        return compile_plan(diagram, x)
-
-    monkeypatch.setattr(coloring, "_solve_plan", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -92,46 +96,44 @@ def test_a_warm_repeat_compiles_no_coloring_plan(cold, monkeypatch, corpus,
     assert bracket._PLANS is coloring._PLANS
     d = corpus["4.1.5"]
     want = invariants(d, z3_involution, z5_bracket)
-    calls = count_compiles(monkeypatch)
+    skeletons, calls, _ = count_compiles(monkeypatch)
     # an equal biquandle built again from the tables is another object
     again = FiniteBiquandle(z3_involution.under_table, z3_involution.over_table)
     assert again is not z3_involution
     assert invariants(d, again, z5_bracket) == want
-    assert calls == []
+    assert skeletons == calls == []
     bracket._PLANS.clear()
     assert invariants(d, again, z5_bracket) == want
-    assert calls == [d.passes]
+    assert skeletons == calls == [d.passes]
 
 
-def test_clearing_forgets_both_plan_kinds(cold, monkeypatch, corpus,
-                                         z3_involution, z5_bracket):
+def test_clearing_forgets_every_plan_kind(cold, monkeypatch, corpus,
+                                          z3_involution, z5_bracket):
     d = corpus["4.1.5"]
     want = invariants(d, z3_involution, z5_bracket)
-    assert set(bracket._PLANS[d.passes]) == {None, z3_involution}
-    calls = count_compiles(monkeypatch)
-    sweeps = []
-    compile_sweep = bracket._compile_sweep
-
-    def counted(diagram, key):
-        sweeps.append(diagram.passes)
-        return compile_sweep(diagram, key)
-
-    monkeypatch.setattr(bracket, "_compile_sweep", counted)
+    assert set(bracket._PLANS[d.passes]) \
+        == {None, coloring._SKELETON, z3_involution}
+    skeletons, calls, sweeps = count_compiles(monkeypatch)
     assert invariants(d, z3_involution, z5_bracket) == want
-    assert calls == [] and sweeps == []
+    assert skeletons == calls == sweeps == []
     bracket._PLANS.clear()
     assert invariants(d, z3_involution, z5_bracket) == want
-    assert calls == [d.passes] and sweeps == [d.passes]
+    assert skeletons == calls == sweeps == [d.passes]
 
 
 def test_four_biquandles_over_the_corpus_stay_cached(cold, monkeypatch,
                                                      corpus):
     xs = [load_biquandle(name) for name in
           ("z3_involution", "z3_shift", "z5_alexander", "z3_coloring")]
+    skeletons, calls, sweeps = count_compiles(monkeypatch)
     first = [invariants(d, x) for x in xs for d in corpus.values()]
-    calls = count_compiles(monkeypatch)
+    # one skeleton per diagram, bound once to each biquandle
+    assert len(skeletons) == len(set(skeletons)) == len(corpus) == 32
+    assert len(calls) == 4 * 32 and sorted(calls) == sorted(skeletons * 4)
+    assert sweeps == []
+    del skeletons[:], calls[:]
     assert [invariants(d, x) for x in xs for d in corpus.values()] == first
-    assert calls == []
+    assert skeletons == calls == []
     assert len(bracket._PLANS) == len(corpus)
 
 
@@ -145,10 +147,10 @@ def test_the_cache_is_bounded_per_diagram(cold, z3_involution, z5_alexander,
         for x, br in configs:
             assert invariants(d, x, br) == oracle_invariants(d, x, br)
             assert len(bracket._PLANS) <= 65
-    # the entry of the last diagram holds all three biquandles' plans and
-    # its state plan
+    # the entry of the last diagram holds all three biquandles' plans, its
+    # skeleton and its state plan
     assert set(bracket._PLANS[codes[-1].passes]) \
-        == {None, z3_involution, z5_alexander, z3_coloring}
+        == {None, coloring._SKELETON, z3_involution, z5_alexander, z3_coloring}
 
 
 def test_an_entry_is_bounded_per_biquandle(cold, monkeypatch, corpus):
@@ -162,19 +164,21 @@ def test_an_entry_is_bounded_per_biquandle(cold, monkeypatch, corpus):
         bracket._PLANS.clear()
         cold_matrices.append(counting_matrix(d, x))
     bracket._PLANS.clear()
-    calls = count_compiles(monkeypatch)
+    skeletons, calls, _ = count_compiles(monkeypatch)
     sizes = []
     for _ in range(2):
         for x, want in zip(xs, cold_matrices):
             assert counting_matrix(d, x) == want
             sizes.append(len(bracket._PLANS[d.passes]))
-    # the entry fills to 65 plans and is emptied before the 66th joins it;
-    # a round of 100 outruns it, so the second round compiles every plan
-    # again, and a repeat of the last biquandle compiles none
-    assert max(sizes) == 65 and sizes[64:66] == [65, 1]
+    # the skeleton and 64 coloring plans fill the entry to 65, and it is
+    # emptied before the 66th joins it, so the next plan compiles the
+    # skeleton again.  A round of 100 outruns the entry, so the second round
+    # compiles every plan again, and a repeat of the last biquandle
+    # compiles none
+    assert max(sizes) == 65 and sizes[64:66] == [1, 3]
     assert len(bracket._PLANS) == 1 and len(calls) == 2 * len(xs)
     assert counting_matrix(d, xs[-1]) == cold_matrices[-1]
-    assert len(calls) == 2 * len(xs)
+    assert len(calls) == 2 * len(xs) and len(skeletons) == 4
 
 
 def test_bracket_polynomial_is_the_sum_of_the_cells(corpus, z3_involution,
