@@ -8,6 +8,10 @@ A biquandle is a set X with two binary operations (written here as
    S(x, y) = (y over x, x under y) are bijections,
 3. the three exchange laws hold for all triples.
 
+Each biquandle inverts S once: the n^2 quadruples (a, b, c, d) with
+S(a, b) = (c, d) give S, S^-1 and the inverses of the two column maps as
+four solve tables, which the coloring plan reads.
+
 Elements are indexed 0..n-1 internally.  In files and in printed matrices
 they are 1-based, and for the affine constructions over Z_m the element
 with index i stands for the residue i+1, so the residue 0 is written m.
@@ -16,6 +20,7 @@ Instances are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -43,18 +48,24 @@ class NotABiquandle(BiquandleError):
 
 @dataclass(frozen=True)
 class AxiomReport:
-    passed: bool
     violations: tuple[tuple[str, tuple], ...]
 
-    def __post_init__(self) -> None:
-        if self.passed != (not self.violations):
-            raise ValueError("a report passes exactly when it has no "
-                             "violations")
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def __str__(self) -> str:
         if self.passed:
             return "all axioms hold"
         return "; ".join("%s at %s" % (a, w) for a, w in self.violations)
+
+
+# Per solve table, the known and the derived pair of a quadruple (a, b, c, d)
+# with S(a, b) = (c, d): S from (a, b) to (c, d), S^-1 from (c, d) to
+# (a, b), the over-column inverse from (a, c) to (b, d) and the under-column
+# inverse from (b, d) to (a, c).
+_SOLVES = (((0, 1), (2, 3)), ((2, 3), (0, 1)), ((0, 2), (1, 3)),
+           ((1, 3), (0, 2)))
 
 
 @dataclass(frozen=True)
@@ -89,36 +100,21 @@ class FiniteBiquandle:
 
     def _solve_tables(self) -> tuple:
         """The four solvers of the sideways relation S(a, b) = (c, d), i.e.
-        c = b over a and d = a under b, as n x n tables of pairs: S from
-        (a, b) to (c, d), S^-1 from (c, d) to (a, b), the over-column inverse
-        from (a, c) to (b, d) and the under-column inverse from (b, d) to
-        (a, c).  A table that is not a function is None."""
-        rn = range(self.n)
-        under, over = self.under_table, self.over_table
-        # the column inverses: under[beta[d][b]][b] = d, over[alpha[c][a]][a] = c
-        beta = [[-1] * self.n for _ in rn]
-        alpha = [[-1] * self.n for _ in rn]
-        for y in rn:
-            for x in rn:
-                beta[under[x][y]][y] = x
-                alpha[over[x][y]][y] = x
-        fwd = tuple(tuple((over[b][a], under[a][b]) for b in rn) for a in rn)
-        back: list[list] = [[None] * self.n for _ in rn]
-        for a in rn:
-            for b in rn:
-                c, d = fwd[a][b]
-                back[c][d] = (a, b)
-        # n^2 pairs onto n^2 cells: S is a bijection iff no cell stays empty,
-        # and a column map iff its inverse has no -1
-        return (fwd,
-                None if any(None in row for row in back)
-                else tuple(tuple(row) for row in back),
-                None if any(-1 in row for row in alpha)
-                else tuple(tuple((alpha[c][a], under[a][alpha[c][a]])
-                                 for c in rn) for a in rn),
-                None if any(-1 in row for row in beta)
-                else tuple(tuple((beta[d][b], over[b][beta[d][b]])
-                                 for d in rn) for b in rn))
+        c = b over a and d = a under b, in _SOLVES order: n x n tables of
+        pairs read off the n^2 quadruples of S.  These fill n^2 cells, so a
+        table is a function exactly when no cell stays empty; if one does,
+        the table is None."""
+        n, under, over = self.n, self.under_table, self.over_table
+        quads = [(a, b, over[b][a], under[a][b])
+                 for a in range(n) for b in range(n)]
+        tables = []
+        for (i, j), (k, l) in _SOLVES:
+            cells: list[list] = [[None] * n for _ in range(n)]
+            for q in quads:
+                cells[q[i]][q[j]] = (q[k], q[l])
+            tables.append(None if any(None in row for row in cells)
+                          else tuple(map(tuple, cells)))
+        return tuple(tables)
 
     @property
     def n(self) -> int:
@@ -242,26 +238,14 @@ def verify_biquandle_axioms(x: FiniteBiquandle) -> AxiomReport:
     # table exists
     if x._solvers[1] is None:
         bad.append(("sideways", ()))
-    for a in range(n):
-        under_a, over_a = under[a], over[a]
-        for b in range(n):
-            # the table rows that the left-hand sides of the three laws read
-            lhs_uu, lhs_uo = under[under_a[b]], over[under_a[b]]
-            lhs_oo = over[over_a[b]]
-            under_b, over_b = under[b], over[b]
-            under_col_b, over_col_b = under_cols[b], over_cols[b]
-            for c in range(n):
-                c_under_b, b_over_c, a_over_c = under_col_b[c], over_b[c], over_a[c]
-                uu = lhs_uu[c_under_b] == under[under_a[c]][b_over_c]
-                uo = lhs_uo[c_under_b] == under[a_over_c][b_over_c]
-                oo = lhs_oo[over_col_b[c]] == over[a_over_c][under_b[c]]
-                if uu and uo and oo:
-                    continue
-                for ok, tag in ((uu, "exchange-uu"), (uo, "exchange-uo"),
-                                (oo, "exchange-oo")):
-                    if not ok:
-                        bad.append((tag, (a + 1, b + 1, c + 1)))
-    return AxiomReport(not bad, tuple(bad))
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if under[under[a][b]][under[c][b]] != under[under[a][c]][over[b][c]]:
+            bad.append(("exchange-uu", (a + 1, b + 1, c + 1)))
+        if over[under[a][b]][under[c][b]] != under[over[a][c]][over[b][c]]:
+            bad.append(("exchange-uo", (a + 1, b + 1, c + 1)))
+        if over[over[a][b]][over[c][b]] != over[over[a][c]][under[b][c]]:
+            bad.append(("exchange-oo", (a + 1, b + 1, c + 1)))
+    return AxiomReport(tuple(bad))
 
 
 # -- automorphisms -------------------------------------------------------------

@@ -403,7 +403,7 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
         n = br.biquandle.n
         bad += [(key, (t // n // n + 1, t // n % n + 1, t % n + 1))
                 for t, keys in enumerate(failed) for key in keys]
-    return AxiomReport(not bad, tuple(bad))
+    return AxiomReport(tuple(bad))
 
 
 # -- evaluation ----------------------------------------------------------------

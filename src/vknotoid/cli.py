@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes are a stable contract: 0 success, 1 invariant/axiom failure,
-2 input error, 3 search budget exhausted.
+2 input error (running out of memory counts as one), 3 search budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -448,7 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--biquandle", required=True)
     p.set_defaults(func=cmd_bracket_check)
-    p = brksub.add_parser("fundamental", help="print the symbolic state sum")
+    p = brksub.add_parser(
+        "fundamental", help="print the symbolic state sum",
+        description="Print the symbolic state sum: one term per state, 3^c "
+        "terms for c classical crossings.  At c = 9 that is 19,683 terms "
+        "(2 MB of text, 40 MB peak memory), at c = 11 177,147 terms (21 MB "
+        "of text, 250 MB peak); each added crossing triples the output.")
     p.add_argument("diagram")
     p.set_defaults(func=cmd_bracket_fundamental)
     return ap
@@ -461,6 +467,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliExit as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except MemoryError:
+        # an input too large for this machine, e.g. a huge table size
+        print("error: out of memory", file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

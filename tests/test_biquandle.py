@@ -1,4 +1,6 @@
 import itertools
+import math
+from operator import itemgetter
 
 import pytest
 
@@ -9,6 +11,8 @@ from vknotoid.biquandle import (AxiomReport, FiniteBiquandle, NotAUnit,
                                 render_operation_matrix,
                                 verify_biquandle_axioms)
 from vknotoid.coloring import iter_colorings
+
+from test_bracket import biquandle_mutations
 
 Z5_MATRIX = """\
 5
@@ -168,12 +172,14 @@ def test_axiom_violation_column_bijection():
 
 
 def test_a_report_passes_exactly_when_it_has_no_violations():
-    assert str(AxiomReport(True, ())) == "all axioms hold"
-    assert str(AxiomReport(False, (("diagonal", (1,)),))) == "diagonal at (1,)"
-    with pytest.raises(ValueError):
-        AxiomReport(False, ())
-    with pytest.raises(ValueError):
-        AxiomReport(True, (("diagonal", (1,)),))
+    # the verdict is derived from the violations; it cannot be given
+    assert AxiomReport(()).passed
+    assert str(AxiomReport(())) == "all axioms hold"
+    failing = AxiomReport((("diagonal", (1,)),))
+    assert not failing.passed
+    assert str(failing) == "diagonal at (1,)"
+    with pytest.raises(TypeError):
+        AxiomReport(True, ())
 
 
 def test_columns_are_permutations(z5_alexander, z3_coloring):
@@ -199,6 +205,58 @@ def test_sideways_inverse_of_forward(z5_alexander):
     x = z5_alexander
     a, b = x.over_op(2, 1), x.under_op(1, 2)
     assert z5_alexander.solvers()[1][a][b] == (1, 2)
+
+
+# the known and the derived pair of each solve table, in solvers() order, as
+# positions in a quadruple (a, b, c, d) with c = b over a and d = a under b
+SOLVE_DEFINITIONS = [(itemgetter(*known), itemgetter(*derived))
+                     for known, derived in (
+                         ((0, 1), (2, 3)),      # S: (a, b) -> (c, d)
+                         ((2, 3), (0, 1)),      # S^-1: (c, d) -> (a, b)
+                         ((0, 2), (1, 3)),      # over column: (a, c) -> (b, d)
+                         ((1, 3), (0, 2)))]     # under column: (b, d) -> (a, c)
+
+
+def alexander_family():
+    for m in range(2, 8):
+        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        for t, r, s in itertools.product(units, units, range(m)):
+            yield alexander_biquandle(m, t, r, shift_under=s)
+
+
+def test_each_solve_table_follows_its_definition(z3_coloring, z3_involution,
+                                                 z3_shift, z5_alexander,
+                                                 dihedral):
+    # a table maps the known pair of every quadruple of S to its derived
+    # pair, and it is None exactly when two quadruples share a known pair
+    tables = [z3_coloring, z3_involution, z3_shift, z5_alexander, *dihedral,
+              *alexander_family()]
+    assert len(tables) == 392
+    missing = [0] * 4
+    for x in (t for x in tables for t in (x, *biquandle_mutations(x, 60))):
+        under, over, cells = x.under_table, x.over_table, list(
+            itertools.product(range(x.n), repeat=2))
+        quads = [(a, b, over[b][a], under[a][b]) for a, b in cells]
+        for k, (table, (known, derive)) in enumerate(zip(
+                x._solvers, SOLVE_DEFINITIONS)):
+            derived = dict(zip(map(known, quads), map(derive, quads)))
+            assert (table is None) == (len(derived) < len(quads)), (x, k)
+            missing[k] += table is None
+            if table is not None:
+                assert dict(zip(cells, itertools.chain(*table))) == derived, \
+                    (x, k)
+    # S is always a function; each of the three inverses fails somewhere
+    assert missing[0] == 0 and all(missing[1:]), missing
+
+
+def test_tables_must_be_square_with_entries_in_range(z3_coloring):
+    under, over = z3_coloring.under_table, z3_coloring.over_table
+    with pytest.raises(ShapeError, match="square of equal size"):
+        FiniteBiquandle(under, over[:2])
+    with pytest.raises(ShapeError, match="square of equal size"):
+        FiniteBiquandle(under[:2] + ((0, 1),), over)
+    with pytest.raises(RangeError, match=r"^entry 3 outside 0\.\.2$"):
+        FiniteBiquandle(under, over[:2] + ((0, 1, 3),))
 
 
 def test_exchange_laws_hold_exhaustively(z3_coloring):

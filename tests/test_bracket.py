@@ -101,6 +101,13 @@ GENERIC = FiniteBiquandle(
     tuple(tuple((2 * a + b + 1) % 3 for b in range(3)) for a in range(3)))
 
 
+def test_invariants_without_a_bracket_have_no_polynomial(corpus,
+                                                        z3_involution):
+    inv = invariants(corpus["2.1.1"], z3_involution)
+    assert inv.bracket_matrix is None and inv.bracket_polynomial is None
+    assert inv.counting_invariant == 3
+
+
 def test_violations_are_frozen(z5_bracket, z37_bracket):
     # every violation tuple (family, witness) the verifier reports, in report
     # order, pinned by count and digest
@@ -142,7 +149,7 @@ def plain_report(br):
                                      for i, j in triple_slots(x, a, b, c)])
         bad += [(str(k), (a + 1, b + 1, c + 1))
                 for k, val in enumerate(vals, 9) if val % m]
-    return AxiomReport(not bad, tuple(bad))
+    return AxiomReport(tuple(bad))
 
 
 def clear_verifier_memo():
@@ -474,8 +481,8 @@ def biquandle_mutations(x, count, seed=0):
 
 
 @pytest.mark.parametrize("first_violation, count, digest", [
-    (False, 8287, "ed1b1a918eadf9478de0bd8ee64b26fc14e7be6edb809af7aa490c77b0dd90c6"),
-    (True, 357, "d42ee0c8059236ef0bb753813c8dbb21b0d05e7b9dbfbd89c3e8405dc6052f56"),
+    (False, 8287, "6326cbcd61a8cb1e27d152906c129fb129432d07d8bd82747f516749c98ab5eb"),
+    (True, 357, "a9c795cc4ff97ba140e09ef2cbf4a1db90f5ed15e65fc56e31fb17397b809f18"),
 ])
 def test_biquandle_violations_are_frozen(z3_coloring, z3_involution, z3_shift,
                                          z5_alexander, dihedral,
@@ -488,10 +495,11 @@ def test_biquandle_violations_are_frozen(z3_coloring, z3_involution, z3_shift,
                for t in (x, *biquandle_mutations(x, 60))]
     if first_violation:
         # the first violation of each report, pinned as well
-        reports = [AxiomReport(r.passed, r.violations[:1]) for r in reports]
+        reports = [AxiomReport(r.violations[:1]) for r in reports]
     assert len(reports) == 366
     assert sum(len(r.violations) for r in reports) == count
-    assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest
+    pinned = [(r.passed, r.violations) for r in reports]
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == digest
 
 
 def test_bracket_file_round_trip(z5_bracket, z3_involution):

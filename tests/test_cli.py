@@ -423,6 +423,32 @@ def test_bracket_non_integer_field(tmp_path, capsys):
     assert "non-integer omega" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("lines, message", [
+    (1, "truncated bracket file"),
+    (None, "final line must be 'delta <int> omega <int>'"),
+])
+def test_bracket_file_cut_short(tmp_path, capsys, lines, message):
+    # the header alone, or the final line without its omega
+    bad = bracket_with(tmp_path, tail="delta 2 omega")
+    if lines:
+        bad.write_text("\n".join(bad.read_text().splitlines()[:lines]) + "\n")
+    assert run(["bracket", "check", bad,
+                "--biquandle", BIQ / "z3_involution.biq"]) == 2
+    assert one_line_error(capsys) \
+        == "error: bad bracket file %s: %s\n" % (bad, message)
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    # a table too large for the machine: no traceback, and not exit 1, which
+    # would claim an axiom failure
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "alexander_biquandle", exhausted)
+    assert run(["biquandle", "alexander", 20000, 1, 1]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 def test_diagram_with_a_repeated_line(tmp_path, capsys):
     bad = tmp_path / "twice.knd"
     bad.write_text("name a\ncode O+1,U+1\ncode -\nname b\n")

@@ -150,6 +150,11 @@ def test_insert_move_position_errors():
         insert_move(d, "R2", 0, 99)
 
 
+def test_insert_move_knows_four_moves():
+    with pytest.raises(ValueError, match="^unknown move 'R3'$"):
+        insert_move(parse_diagram("O+1,U+1"), "R3", 0)
+
+
 def test_classical_sign_must_be_plus_or_minus_one():
     # the bracket tables exist only for signs +1 and -1, so any other sign
     # is refused when the diagram is built

@@ -3,12 +3,13 @@ enhancement consistency, and convention self-consistency."""
 
 import random
 
-from vknotoid.bracket import (bracket_matrix, bracket_polynomial,
+from vknotoid.bracket import (bracket_matrix, bracket_polynomial, invariants,
                               verify_bracket_axioms)
 from vknotoid.coloring import (counting_invariant, counting_matrix,
                                matrix_product)
 from vknotoid.diagram import insert_move, product
 from vknotoid.ring import poly_render
+from vknotoid.search import SearchConfig, search_brackets
 
 
 def random_insert(d, rng):
@@ -76,6 +77,33 @@ def test_move_invariance_on_z3_coloring_brackets(corpus, z3_coloring,
                                     over_first=rng.choice([True, False]),
                                     parallel=rng.choice([True, False]))
                 assert rendered_matrix(moved, z3_coloring, br) == base
+
+
+def test_move_invariance_on_dihedral_brackets(corpus, dihedral):
+    # the dihedral tables are the ones whose over operation reads its second
+    # argument: the full search over Z_3 finds 40 brackets on each, and each
+    # of the four moves on six diagrams leaves their invariants unchanged
+    rng = random.Random(22)
+    distinct = 0
+    for x in dihedral:
+        brackets = search_brackets(x, SearchConfig(3, "full")).brackets
+        assert len(brackets) == 40
+        for br in brackets:
+            for name in ("2.1.1", "3.1.2", "3.1.6", "4.1.1", "4.1.5", "5.1.4"):
+                d = corpus[name]
+                base = invariants(d, x, br)
+                cells = {p for row in base.bracket_matrix for p in row if p}
+                distinct += len(cells) >= 2
+                for move in ("R1", "VR1", "R2", "VR2"):
+                    moved = insert_move(d, move, rng.randint(0, len(d.passes)),
+                                        rng.randint(0, len(d.passes)),
+                                        sign=rng.choice([1, -1]),
+                                        over_first=rng.choice([True, False]),
+                                        parallel=rng.choice([True, False]))
+                    assert invariants(moved, x, br) == base
+    # 168 of the 480 matrices hold two or more distinct nonzero cells, so the
+    # moves are not checked on uniform matrices alone
+    assert distinct == 168
 
 
 def test_mis_signed_double_insertion_detected(corpus, z3_coloring,

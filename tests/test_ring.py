@@ -33,3 +33,13 @@ def test_exponents_reduce_mod_m():
     p = BracketPolynomial.from_dict(z5, {7: 1, 2: 1})
     assert p.as_dict() == {2: 2}
     assert p.total_multiplicity() == 2
+
+
+def test_multiplicities_are_counts():
+    with pytest.raises(ValueError, match="^negative multiplicity$"):
+        BracketPolynomial.from_dict(Modulus(5), {1: 2, 2: -1})
+
+
+def test_poly_parse_rejects_a_foreign_variable():
+    with pytest.raises(ValueError, match="^bad polynomial term: '2x'$"):
+        poly_parse("2x", Modulus(5))

@@ -224,7 +224,7 @@ def test_every_found_bracket_passed_the_final_verification(monkeypatch,
     assert all(found is br and passed
                for found, (br, passed) in zip(result.brackets, verified))
     monkeypatch.setattr(search, "verify_bracket_axioms",
-                        lambda br: AxiomReport(False, (("veto", ()),)))
+                        lambda br: AxiomReport((("veto", ()),)))
     assert search_brackets(z3_involution, cfg).brackets == []
 
 
