@@ -481,8 +481,8 @@ def biquandle_mutations(x, count, seed=0):
 
 
 @pytest.mark.parametrize("first_violation, count, digest", [
-    (False, 8287, "6326cbcd61a8cb1e27d152906c129fb129432d07d8bd82747f516749c98ab5eb"),
-    (True, 357, "a9c795cc4ff97ba140e09ef2cbf4a1db90f5ed15e65fc56e31fb17397b809f18"),
+    (False, 8287, "ed1b1a918eadf9478de0bd8ee64b26fc14e7be6edb809af7aa490c77b0dd90c6"),
+    (True, 357, "d42ee0c8059236ef0bb753813c8dbb21b0d05e7b9dbfbd89c3e8405dc6052f56"),
 ])
 def test_biquandle_violations_are_frozen(z3_coloring, z3_involution, z3_shift,
                                          z5_alexander, dihedral,
@@ -498,8 +498,12 @@ def test_biquandle_violations_are_frozen(z3_coloring, z3_involution, z3_shift,
         reports = [AxiomReport(r.violations[:1]) for r in reports]
     assert len(reports) == 366
     assert sum(len(r.violations) for r in reports) == count
-    pinned = [(r.passed, r.violations) for r in reports]
-    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == digest
+    # spelled as a report printed when it still stored its verdict, so the
+    # digests pinned before passed became derived still apply
+    pinned = "[%s]" % ", ".join(
+        "AxiomReport(passed=%r, violations=%r)" % (r.passed, r.violations)
+        for r in reports)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == digest
 
 
 def test_bracket_file_round_trip(z5_bracket, z3_involution):
