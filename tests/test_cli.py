@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import shutil
 
 import pytest
 
@@ -204,6 +205,84 @@ def test_corpus_results_are_pinned(capsys, config):
     assert corpus_json()[1] == first
     bracket._PLANS.clear()
     assert corpus_json()[1] == first
+
+
+
+# sha256 of each command's whole stdout with the manifest's wall_time_s
+# masked.  The commands run in a directory of copied inputs, so the paths in
+# a JSON manifest are the same on every machine; "bad" holds one diagram
+# that parses and one that does not, so its "errors" list is not empty.  The
+# figures were taken before invariants and corpus shared one table writer.
+INVARIANTS = ["invariants", "corpus/2.1.1.knd", "--biquandle", "z3.biq"]
+CORPUS = ["corpus", "--biquandle", "z3.biq", "--dir"]
+BRACKET = ["--bracket", "z5.bvb"]
+OUTPUT_DIGESTS = {
+    "invariants text": (
+        INVARIANTS,
+        "5b27bf1a046fe77c3ffe7086c13612e7bae911bfd15efcd2b364977d02b9ac78"),
+    "invariants text bracket": (
+        INVARIANTS + BRACKET,
+        "a94b171ac43ecb847ec4d2594e9fc93e387db9aedcfd9c3d3e8c5d1f03c9598f"),
+    "invariants csv": (
+        INVARIANTS + ["--format", "csv"],
+        "2497ccd7db1defa342530dd7fc24d1e15efc2f4fb010dc1b349980dfc94b3738"),
+    "invariants csv bracket": (
+        INVARIANTS + BRACKET + ["--format", "csv"],
+        "ba2ae3fa8f6add43a304cc9120ca04875e842d95e5158089cb54be94dac38edf"),
+    "invariants json": (
+        INVARIANTS + ["--format", "json"],
+        "928fefe90423a6a0d8b0893d303d2b254eda2426a34f1501a649189968196476"),
+    "invariants json bracket": (
+        INVARIANTS + BRACKET + ["--format", "json"],
+        "22110fc2761741a8b18ce12d311312a95bd3b6d3fdedde1852b94517edc2c634"),
+    "corpus csv": (
+        CORPUS + ["corpus", "--format", "csv"],
+        "9ccc4b025c7e1deffd394b3c3af7d62b26937817719fcb62fb58ff2e1c82d2da"),
+    "corpus csv bracket": (
+        CORPUS + ["corpus", "--format", "csv"] + BRACKET,
+        "f2f591f5c10dd48d075e87d3ec7708bb129d663c2027c03c8b0b8c98126a9a53"),
+    "corpus csv empty": (
+        CORPUS + ["empty", "--format", "csv"],
+        "95443cb4e91196bd64ddd4391b93e97cd3de92b6287e24d276500021d641b916"),
+    "corpus csv bad": (
+        CORPUS + ["bad", "--format", "csv"],
+        "d1780ed1b43ebd39c3e9a34f2d60d63fae17c0778ec61fb75d342f64893c8456"),
+    "corpus json": (
+        CORPUS + ["corpus"],
+        "de77cbfe898edd010e31d1cfad480277b1d5c4fdd1e2a0d022089789f04417eb"),
+    "corpus json bracket": (
+        CORPUS + ["corpus"] + BRACKET,
+        "1805d6e7c0be065e478bf26bfe64010c8781ed0caedc47fb4e515e72763c317b"),
+    "corpus json empty": (
+        CORPUS + ["empty"],
+        "874b62db2b59d3cbf73e1fcdd98e82b9350755fd4f4871ce3cb92c438a1ec4cd"),
+    "corpus json bad": (
+        CORPUS + ["bad"],
+        "7083c5f8e4760f469c0e403fc371b9add9008f8fb0cedaa2c4506abc04b4ed18"),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    shutil.copytree(corpus_dir(), root / "corpus")
+    shutil.copy(BIQ / "z3_involution.biq", root / "z3.biq")
+    shutil.copy(BRK / "z5_involution.bvb", root / "z5.bvb")
+    (root / "empty").mkdir()
+    (root / "bad").mkdir()
+    (root / "bad" / "good.knd").write_text("name good\ncode O+1,U+1\n")
+    (root / "bad" / "bad.knd").write_text("name bad\ncode O+1,U-1\n")
+    return root
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_DIGESTS))
+def test_whole_outputs_are_pinned(inputs_dir, monkeypatch, capsys, name):
+    argv, digest = OUTPUT_DIGESTS[name]
+    monkeypatch.chdir(inputs_dir)
+    assert run(argv) == 0
+    out = re.sub(r'"wall_time_s": [^,\n]*', '"wall_time_s": 0',
+                 capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_corpus_empty_dir(tmp_path):
