@@ -226,16 +226,18 @@ def verify_biquandle_axioms(x: FiniteBiquandle) -> AxiomReport:
     for a in range(n):
         if under[a][a] != over[a][a]:
             bad.append(("diagonal", (a + 1,)))
-    # columns: under_cols[y][a] = a under y
-    under_cols, over_cols = tuple(zip(*under)), tuple(zip(*over))
-    elements = list(range(n))
-    for y in range(n):
-        if sorted(under_cols[y]) != elements:
-            bad.append(("under-column", (y + 1,)))
-        if sorted(over_cols[y]) != elements:
-            bad.append(("over-column", (y + 1,)))
-    # S is built once, by _solve_tables; it is a bijection iff its inverse
-    # table exists
+    # S and the column maps are inverted once, by _solve_tables: a map is a
+    # bijection iff its inverse table exists, and the columns are walked only
+    # to name those of a missing table; under_cols[y][a] = a under y
+    over_ok, under_ok = x._solvers[2] is not None, x._solvers[3] is not None
+    if not (over_ok and under_ok):
+        under_cols, over_cols = tuple(zip(*under)), tuple(zip(*over))
+        elements = list(range(n))
+        for y in range(n):
+            if not under_ok and sorted(under_cols[y]) != elements:
+                bad.append(("under-column", (y + 1,)))
+            if not over_ok and sorted(over_cols[y]) != elements:
+                bad.append(("over-column", (y + 1,)))
     if x._solvers[1] is None:
         bad.append(("sideways", ()))
     for a, b, c in itertools.product(range(n), repeat=3):

@@ -689,39 +689,34 @@ class State:
     components: int
 
 
-def _state_paths(plan: _StatePlan) -> tuple[list[int], list]:
-    """The positions of the plan's levels in ascending crossing id, and its
-    3^c paths, one per state, in mixed-radix order over those crossings: per
-    crossing its smoothing's index, and the open piece plus the loops the
-    path closes."""
+def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
+    """All 3^c states in mixed-radix order over ascending crossing ids, read
+    off the terms of :func:`fundamental_bracket`."""
+    cids = sorted(_plan(diagram).sweep)
+    return [State(tuple((cid, SMOOTHINGS["ABVCDU".index(letter) % 3])
+                        for cid, (letter, _) in zip(cids, t.factors)),
+                  t.delta_exp)
+            for t in fundamental_bracket(diagram).terms]
+
+
+def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
+    """Symbolic state sum over the identity coloring: one term per state,
+    exactly 3^c of them, in mixed-radix order over ascending crossing ids.
+
+    Each of the sweep plan's 3^c paths is one state: per crossing its
+    smoothing's index, and the open piece plus the loops the path closes."""
+    plan = _plan(diagram)
     paths = [[((), 1)]]                 # per partial state: (kinds, components)
     for _, _, incoming in plan.levels:
         paths = [[(kinds + (x % 3,), m + x // 3)
                   for s, x in edges for kinds, m in paths[s]]
                  for edges in incoming]
     where = sorted(range(len(plan.sweep)), key=plan.sweep.__getitem__)
-    return where, sorted((tuple(kinds[k] for k in where), m)
-                         for kinds, m in paths[0])
-
-
-def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
-    """All 3^c states in mixed-radix order over ascending crossing ids."""
-    plan = _plan(diagram)
-    where, states = _state_paths(plan)
-    cids = [plan.sweep[k] for k in where]
-    return [State(tuple(zip(cids, (SMOOTHINGS[k] for k in kinds))), m)
-            for kinds, m in states]
-
-
-def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
-    """Symbolic state sum over the identity coloring: one term per state,
-    exactly 3^c of them, in the order of :func:`enumerate_states`."""
-    plan = _plan(diagram)
-    where, states = _state_paths(plan)
     # per crossing in ascending id: its letters in SMOOTHINGS order and its
     # argument pair as 1-based semi-arc labels
     crossings = [("ABV" if sign > 0 else "CDU", (i + 1, j + 1))
                  for sign, (i, j), _ in map(plan.levels.__getitem__, where)]
+    states = sorted((tuple(kinds[k] for k in where), m) for kinds, m in paths[0])
     terms = tuple(
         SymbolicTerm(m, tuple([(letters[k], pair)
                                for (letters, pair), k in zip(crossings, kinds)]))

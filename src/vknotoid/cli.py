@@ -32,18 +32,6 @@ from .search import SearchConfig, search_brackets
 OK, FAIL, INPUT_ERROR, BUDGET = 0, 1, 2, 3
 
 
-def _manifest(args: argparse.Namespace, started: float,
-              inputs: list[str]) -> dict:
-    return {
-        "command": args.command,
-        "inputs": inputs,
-        "config": {k: v for k, v in vars(args).items()
-                   if k not in ("func", "command") and v is not None},
-        "version": __version__,
-        "wall_time_s": round(time.time() - started, 6),
-    }
-
-
 class CliExit(Exception):
     """Ends a command with ``code`` after printing the message to stderr."""
 
@@ -169,27 +157,52 @@ def _format_text(rec: dict) -> str:
 
 
 def _format_csv(records: list[dict]) -> str:
-    buf = io.StringIO()
-    fields = ["name", "classical_crossings", "virtual_crossings", "writhe",
-              "counting_invariant"]
-    extra = ["status"] if any("status" in r for r in records) else []
+    # every record of one table has the same keys, so the first decides the
+    # status and bracket columns
+    keys = records[0].keys() if records else ()
     n = len(records[0]["counting_matrix"]) if records else 0
-    mat_fields = ["M_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    has_bracket = any("bracket_matrix" in r for r in records)
-    bfields = (["bracket_polynomial"]
-               + ["MB_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-               ) if has_bracket else []
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    fields = ["name", "classical_crossings", "virtual_crossings", "writhe",
+              "counting_invariant"] + (["status"] if "status" in keys else [])
+    has_bracket = "bracket_matrix" in keys
+    header = fields + ["M_%d_%d" % (i + 1, j + 1) for i, j in cells]
+    if has_bracket:
+        header += ["bracket_polynomial"] + ["MB_%d_%d" % (i + 1, j + 1)
+                                            for i, j in cells]
+    buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(fields + extra + mat_fields + bfields)
+    writer.writerow(header)
     for rec in records:
-        row = [rec[f] for f in fields] + [rec.get("status", "") for _ in extra]
-        row += [rec["counting_matrix"][i][j] for i in range(n) for j in range(n)]
+        row = [rec[f] for f in fields]
+        row += [rec["counting_matrix"][i][j] for i, j in cells]
         if has_bracket:
-            row.append(rec.get("bracket_polynomial", ""))
-            mb = rec.get("bracket_matrix")
-            row += [mb[i][j] if mb else "" for i in range(n) for j in range(n)]
+            row.append(rec["bracket_polynomial"])
+            row += [rec["bracket_matrix"][i][j] for i, j in cells]
         writer.writerow(row)
     return buf.getvalue()
+
+
+def _table(args: argparse.Namespace, started: float, inputs: list[str],
+           records: list[dict], **extra) -> None:
+    """The one place a table is written, to ``--out`` or stdout: the records
+    as text, as CSV, or as JSON after a manifest of the run and before the
+    ``extra`` keys."""
+    if args.format == "csv":
+        text = _format_csv(records)
+    elif args.format == "text":
+        text = "".join(map(_format_text, records))
+    else:
+        manifest = {
+            "command": args.command,
+            "inputs": inputs,
+            "config": {k: v for k, v in vars(args).items()
+                       if k not in ("func", "command") and v is not None},
+            "version": __version__,
+            "wall_time_s": round(time.time() - started, 6),
+        }
+        text = json.dumps({"manifest": manifest, "results": records, **extra},
+                          indent=2) + "\n"
+    _emit(text, args.out)
 
 
 def _verified_bracket(args, x: FiniteBiquandle) -> VirtualBracket | None:
@@ -209,17 +222,9 @@ def cmd_invariants(args) -> int:
     x = _verified_biquandle(args.biquandle)
     d = _load_diagram(args.diagram)
     br = _verified_bracket(args, x)
-    rec = _invariant_record(d, x, br)
-    if args.format == "json":
-        payload = {"manifest": _manifest(args, started,
-                                         [args.diagram, args.biquandle]
-                                         + ([args.bracket] if args.bracket else [])),
-                   "results": [rec]}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_format_csv([rec]), args.out)
-    else:
-        _emit(_format_text(rec), args.out)
+    _table(args, started,
+           [p for p in (args.diagram, args.biquandle, args.bracket) if p],
+           [_invariant_record(d, x, br)])
     return OK
 
 
@@ -257,12 +262,7 @@ def cmd_corpus(args) -> int:
         records.append(rec)
     for err in errors:
         print("error: %s" % err, file=sys.stderr)
-    payload = {"manifest": _manifest(args, started, [str(root)]),
-               "results": records, "errors": errors}
-    if args.format == "csv":
-        _emit(_format_csv(records), args.out)
-    else:
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _table(args, started, [str(root)], records, errors=errors)
     return OK
 
 

@@ -7,7 +7,6 @@ the axiom check nor be move-invariant.  Its state-sum values over the frozen
 corpus are still reproduced exactly; see the manifest and README notes.
 """
 
-import itertools
 import random
 import time
 
@@ -21,10 +20,12 @@ from vknotoid.bracket import (bracket_matrix, bracket_polynomial,
                               fundamental_bracket, verify_bracket_axioms)
 from vknotoid.coloring import (counting_invariant, counting_matrix,
                                enumerate_colorings, matrix_product)
-from vknotoid.diagram import (crossing_relations, insert_move, product,
-                              relation_holds)
+from vknotoid.diagram import insert_move, product
 from vknotoid.ring import BracketPolynomial, poly_render
 from vknotoid.search import SearchConfig, brute_force_singleton, search_brackets
+
+from test_bracket import assert_states_match_naive
+from test_coloring import brute_force_colorings
 
 Z5_REFERENCE_MATRIX = """\
 5
@@ -309,14 +310,10 @@ def test_c09e_brute_force_oracles(corpus, z3_coloring, z3_involution):
     small = [n for n, d in corpus.items() if d.classical_count <= 3]
     for name in small:
         d = corpus[name]
-        pres = crossing_relations(d)
         for x in (z3_coloring, z3_involution):
-            brute = [f for f in itertools.product(range(x.n),
-                                                  repeat=d.semi_arc_count)
-                     if all(relation_holds(r, f, x) for r in pres.relations)]
-            assert sorted(brute) == sorted(enumerate_colorings(d, x))
+            assert sorted(brute_force_colorings(d, x)) \
+                == sorted(enumerate_colorings(d, x))
     # the sweep plan's state components against naive traversal
-    from test_bracket import assert_states_match_naive
     for name in small:
         assert_states_match_naive(corpus[name])
     report("C9e brute-force oracles agree (colorings + components): PASS")

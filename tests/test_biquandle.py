@@ -249,6 +249,20 @@ def test_each_solve_table_follows_its_definition(z3_coloring, z3_involution,
     assert missing[0] == 0 and all(missing[1:]), missing
 
 
+def test_column_verdicts_are_the_missing_solve_tables():
+    # the verifier names a column map's failing columns exactly when that
+    # map's inverse solve table is missing: over-column with table 2,
+    # under-column with table 3
+    named = {"over-column": 0, "under-column": 0}
+    for x in (t for x in alexander_family()
+              for t in (x, *biquandle_mutations(x, 20))):
+        axioms = {a for a, _ in verify_biquandle_axioms(x).violations}
+        for axiom, k in (("over-column", 2), ("under-column", 3)):
+            assert (axiom in axioms) == (x._solvers[k] is None), (x, axiom)
+            named[axiom] += axiom in axioms
+    assert all(named.values()), named
+
+
 def test_tables_must_be_square_with_entries_in_range(z3_coloring):
     under, over = z3_coloring.under_table, z3_coloring.over_table
     with pytest.raises(ShapeError, match="square of equal size"):

@@ -5,7 +5,6 @@ smoothed curve, and the coloring plan against brute force, against the
 traversal walk it replaced, and on wide codes against linear algebra over
 Z_5."""
 
-import itertools
 import random
 from operator import mul
 
@@ -22,6 +21,7 @@ from vknotoid.diagram import (KnotoidDiagram, Pass, crossing_relations,
 from vknotoid.ring import BracketPolynomial
 
 from test_bracket import assert_states_match_naive
+from test_coloring import brute_force_colorings
 
 
 def random_code(rng, classical, virtual=2):
@@ -223,12 +223,6 @@ def test_values_match_symbolic_state_sum(request, biquandle, bracket):
             cell[want] = cell.get(want, 0) + 1
         got = bracket_matrix(d, x, br)
         assert [[p.as_dict() for p in row] for row in got] == cells
-
-
-def brute_force_colorings(d, x):
-    rels = crossing_relations(d).relations
-    return [f for f in itertools.product(range(x.n), repeat=d.semi_arc_count)
-            if all(relation_holds(r, f, x) for r in rels)]
 
 
 def test_colorings_are_the_sorted_brute_force_list(z3_coloring, z3_involution,
