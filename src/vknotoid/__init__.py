@@ -8,9 +8,8 @@ from .biquandle import (FiniteBiquandle, AxiomReport, alexander_biquandle,
                         parse_operation_matrix, render_operation_matrix,
                         verify_biquandle_axioms, automorphism_orbits,
                         ShapeError, RangeError, NotABiquandle)
-from .diagram import (KnotoidDiagram, Pass, Crossing, Presentation, Relation,
-                      parse_diagram, render_diagram, writhe,
-                      crossing_relations, product, insert_move,
+from .diagram import (KnotoidDiagram, Pass, Crossing, parse_diagram,
+                      render_diagram, writhe, product, insert_move,
                       DiagramSyntaxError, PairingError, SignError,
                       PositionError)
 from .coloring import (enumerate_colorings, iter_colorings,

@@ -13,7 +13,8 @@ passing through.  The value of a colored diagram is
 
 where m counts all components of the smoothed curve including the open
 tail-to-head piece (so the trivial diagram evaluates to delta), and each
-coefficient is looked up at the crossing's argument pair: (u_in, o_out) at
+coefficient is looked up at the crossing's argument pair, the first two
+semi-arcs of :attr:`~vknotoid.diagram.Crossing.sideways`: (u_in, o_out) at
 positive crossings, (u_out, o_in) at negative ones.
 
 Axiom checking covers the 23 equation families a valid bracket must satisfy
@@ -62,8 +63,7 @@ from typing import NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
 from .coloring import _PLANS, cached_plan, counting_matrix, iter_colorings
-from .diagram import (KnotoidDiagram, Presentation,
-                      crossing_relations, relation_holds, writhe)
+from .diagram import KnotoidDiagram, writhe
 from .ring import BracketPolynomial, Modulus, NotAUnit
 
 Table = tuple[tuple[int, ...], ...]
@@ -542,7 +542,7 @@ def _compile_sweep(diagram: KnotoidDiagram, _key: None) -> _StatePlan:
                 successors.setdefault(tuple(mate), []).append((s, edge))
         boundary, states = after, list(successors)
         sweep.append(cid)
-        levels.append((cr.sign, cr.pair(),
+        levels.append((cr.sign, cr.sideways[:2],
                        tuple(map(tuple, successors.values()))))
     assert len(states) == 1
     return _StatePlan(writhe(diagram), tuple(sweep), tuple(levels))
@@ -575,28 +575,30 @@ def _evaluator(plan: _StatePlan, br: VirtualBracket):
     return value
 
 
-def _check_coloring(pres: Presentation, coloring: tuple[int, ...],
+def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
                     x: FiniteBiquandle) -> tuple[int, ...]:
-    """The coloring as ints, if it colors the presentation's semi-arcs by
-    ``x``."""
+    """The coloring as ints, if it colors the diagram's semi-arcs by ``x``:
+    a under b = d and b over a = c at each crossing's sideways (a, b, c, d),
+    read off the operation tables."""
     try:
         coloring = tuple(map(operator.index, coloring))     # 1.0 is no color
     except TypeError:
         raise ColoringMismatch("colors must be integers") from None
-    if len(coloring) != len(pres.generators) \
-            or not all(c in range(x.n) for c in coloring):
+    nseg = diagram.semi_arc_count
+    if len(coloring) != nseg or not all(c in range(x.n) for c in coloring):
         raise ColoringMismatch("coloring needs %d colors in 0..%d"
-                               % (len(pres.generators), x.n - 1))
-    if not all(relation_holds(r, coloring, x) for r in pres.relations):
-        raise ColoringMismatch("coloring violates a crossing relation")
+                               % (nseg, x.n - 1))
+    for cr in diagram.crossings().values():
+        a, b, c, d = (coloring[k] for k in cr.sideways)
+        if x.under_op(a, b) != d or x.over_op(b, a) != c:
+            raise ColoringMismatch("coloring violates a crossing relation")
     return coloring
 
 
 def evaluate(diagram: KnotoidDiagram, coloring: tuple[int, ...],
              br: VirtualBracket) -> int:
     """State-sum value of one colored diagram, in range(m)."""
-    coloring = _check_coloring(crossing_relations(diagram), coloring,
-                               br.biquandle)
+    coloring = _check_coloring(diagram, coloring, br.biquandle)
     return _evaluator(_plan(diagram), br)(coloring)
 
 
@@ -674,11 +676,11 @@ class SymbolicTerm:
 @dataclass(frozen=True)
 class SymbolicBracket:
     """omega^omega_exp times the sum of the terms of the state sum; every
-    term shares the exponent, -writhe.  The diagram's presentation is what
+    term shares the exponent, -writhe.  The diagram is what
     :func:`evaluate_symbolic` checks a coloring against."""
     omega_exp: int
     terms: tuple[SymbolicTerm, ...]
-    presentation: Presentation
+    diagram: KnotoidDiagram
 
 
 @dataclass(frozen=True)
@@ -721,7 +723,7 @@ def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
         SymbolicTerm(m, tuple([(letters[k], pair)
                                for (letters, pair), k in zip(crossings, kinds)]))
         for kinds, m in states)
-    return SymbolicBracket(-plan.writhe, terms, crossing_relations(diagram))
+    return SymbolicBracket(-plan.writhe, terms, diagram)
 
 
 def render_symbolic(sym: SymbolicBracket) -> str:
@@ -745,7 +747,7 @@ def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],
     value is in range(m).  Raises ColoringMismatch, as :func:`evaluate`
     does, unless the coloring colors the diagram by the bracket's
     biquandle."""
-    coloring = _check_coloring(sym.presentation, coloring, br.biquandle)
+    coloring = _check_coloring(sym.diagram, coloring, br.biquandle)
     m = br.modulus.m
     total = 0
     for t in sym.terms:

@@ -1,9 +1,8 @@
 """Biquandle colorings of knotoid diagrams.
 
 A coloring assigns a biquandle element to every semi-arc so that each
-classical crossing's two relations hold.  Read together, the two relations
-of a crossing are one sideways relation S(a, b) = (c, d) on four semi-arcs
-(:meth:`~vknotoid.diagram.Crossing.relations`: a under b = d and
+classical crossing's sideways relation S(a, b) = (c, d) holds on its four
+semi-arcs (:attr:`~vknotoid.diagram.Crossing.sideways`: a under b = d and
 b over a = c), and any of the pairs {a, b}, {c, d}, {a, c}, {b, d} fixes the
 other two colors through one of the biquandle's solve tables
 (:meth:`~vknotoid.biquandle.FiniteBiquandle.solvers`).
@@ -88,8 +87,8 @@ def _solve_skeleton(diagram: KnotoidDiagram, _key: str) -> list:
     # known pair, derived pair), from S(a, b) = (c, d)
     solves = []
     for cr in sorted(diagram.crossings().values(),
-                     key=lambda cr: min(cr.under_pass, cr.over_pass)):
-        (_, a, b, d), (_, _, _, c) = cr.relations()
+                     key=lambda cr: min(cr.u_in, cr.o_in)):
+        a, b, c, d = cr.sideways
         solves.append(((0, a, b, c, d), (1, c, d, a, b),
                        (2, a, c, b, d), (3, b, d, a, c)))
     touching: list[list[int]] = [[] for _ in range(nseg)]

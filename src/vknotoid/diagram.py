@@ -11,14 +11,16 @@ virtual passes do not cut them.  With c classical crossings there are 2c+1
 semi-arcs, indexed 0 (tail) .. 2c (head).
 
 Crossing conventions (these orientations are load-bearing; the whole test
-suite pins them):
+suite pins them).  A classical crossing holds a coloring to one sideways
+relation S(a, b) = (c, d), that is a under b = d and b over a = c, on the
+semi-arcs (a, b, c, d) given by :attr:`Crossing.sideways`:
 
-* positive crossing:  u_out = u_in under o_out,   o_in = o_out over u_in
-* negative crossing:  u_in  = u_out under o_in,   o_out = o_in over u_out
+* positive crossing:  (a, b, c, d) = (u_in, o_out, o_in, u_out)
+* negative crossing:  (a, b, c, d) = (u_out, o_in, o_out, u_in)
 
-so the operation argument pair of a positive crossing is (u_in, o_out) and
-of a negative crossing (u_out, o_in).  Coloring enumeration reads the two
-relations together as one sideways relation (see :mod:`vknotoid.coloring`).
+so the operation argument pair (a, b) of a positive crossing is
+(u_in, o_out) and of a negative crossing (u_out, o_in).  The coloring plan,
+the state sweep and the coloring check all read this one quadruple.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
-
-from .biquandle import FiniteBiquandle
 
 
 class DiagramError(Exception):
@@ -62,43 +62,29 @@ class Pass(NamedTuple):
 class Crossing(NamedTuple):
     """Classical crossing resolved to its two pass positions.
 
-    under_pass/over_pass index into the classical-pass sequence; the segment
-    entering pass k is semi-arc k, the segment leaving it is semi-arc k+1.
+    u_in/o_in are the positions of the under and the over pass in the
+    classical-pass sequence: the segment entering pass k is semi-arc k, the
+    segment leaving it is semi-arc k+1.
     """
     sign: int
-    under_pass: int
-    over_pass: int
-
-    @property
-    def u_in(self) -> int:
-        return self.under_pass
+    u_in: int
+    o_in: int
 
     @property
     def u_out(self) -> int:
-        return self.under_pass + 1
-
-    @property
-    def o_in(self) -> int:
-        return self.over_pass
+        return self.u_in + 1
 
     @property
     def o_out(self) -> int:
-        return self.over_pass + 1
+        return self.o_in + 1
 
-    def relations(self) -> tuple[tuple[str, int, int, int], ...]:
-        """The crossing's two relations ``x op y = result`` as
-        (op, x, y, result) with semi-arc indices, under relation first."""
+    @property
+    def sideways(self) -> tuple[int, int, int, int]:
+        """The semi-arcs (a, b, c, d) of the crossing's sideways relation
+        S(a, b) = (c, d): a under b = d and b over a = c."""
         if self.sign > 0:
-            return (("under", self.u_in, self.o_out, self.u_out),
-                    ("over", self.o_out, self.u_in, self.o_in))
-        return (("under", self.u_out, self.o_in, self.u_in),
-                ("over", self.o_in, self.u_out, self.o_out))
-
-    def pair(self) -> tuple[int, int]:
-        """Semi-arc indices of the operation argument pair (x, y): the
-        arguments of the under relation."""
-        _, x, y, _ = self.relations()[0]
-        return (x, y)
+            return (self.u_in, self.o_out, self.o_in, self.u_out)
+        return (self.u_out, self.o_in, self.o_out, self.u_in)
 
 
 _TOKEN_RE = re.compile(r"^(?:([OU])([+-])(\d+)|V(\d+))$")
@@ -237,46 +223,6 @@ def render_diagram(diagram: KnotoidDiagram) -> str:
             toks.append("%s%s%d" % (p.kind, "+" if p.sign > 0 else "-", p.crossing))
     code = ",".join(toks) if toks else "-"
     return "name %s\ncode %s\n" % (diagram.name or "unnamed", code)
-
-
-# -- fundamental presentation -------------------------------------------------
-
-@dataclass(frozen=True)
-class Relation:
-    """x op y = result, with op "under" or "over"; generators are 1-based
-    semi-arc labels a_1 .. a_{2c+1}."""
-    op: str
-    x: int
-    y: int
-    result: int
-
-    def __str__(self) -> str:
-        sym = "ub" if self.op == "under" else "ob"
-        return "a%d %s a%d = a%d" % (self.x, sym, self.y, self.result)
-
-
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[int, ...]
-    relations: tuple[Relation, ...]
-
-
-def crossing_relations(diagram: KnotoidDiagram) -> Presentation:
-    """Two relations per classical crossing (:meth:`Crossing.relations`, in
-    ascending crossing id), none for virtual ones."""
-    crossings = diagram.crossings()
-    rels = tuple(Relation(op, x + 1, y + 1, result + 1)
-                 for cid in sorted(crossings)
-                 for op, x, y, result in crossings[cid].relations())
-    return Presentation(tuple(range(1, diagram.semi_arc_count + 1)), rels)
-
-
-def relation_holds(rel: Relation, colors: tuple[int, ...],
-                   x: FiniteBiquandle) -> bool:
-    """Check one relation against a concrete coloring (0-based colors)."""
-    lhs = (x.under_op if rel.op == "under" else x.over_op)(
-        colors[rel.x - 1], colors[rel.y - 1])
-    return lhs == colors[rel.result - 1]
 
 
 # -- product -------------------------------------------------------------------

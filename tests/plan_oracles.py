@@ -27,8 +27,8 @@ def solve_plan(diagram, x) -> list:
     # known pair, derived pair), from S(a, b) = (c, d)
     solves = []
     for cr in sorted(diagram.crossings().values(),
-                     key=lambda cr: min(cr.under_pass, cr.over_pass)):
-        (_, a, b, d), (_, _, _, c) = cr.relations()
+                     key=lambda cr: min(cr.u_in, cr.o_in)):
+        a, b, c, d = cr.sideways
         solves.append(((0, a, b, c, d), (1, c, d, a, b),
                        (2, a, c, b, d), (3, b, d, a, c)))
     touching: list[list[int]] = [[] for _ in range(nseg)]
@@ -140,7 +140,7 @@ def compile_sweep(diagram) -> _StatePlan:
     while todo:
         cid, cr = min(todo, key=lambda item: (
             width_after(item[1], unswept, len(boundary)),
-            max(item[1].under_pass, item[1].over_pass)))
+            max(item[1].u_in, item[1].o_in)))
         todo.remove((cid, cr))
         ports = (cr.u_in, cr.u_out, cr.o_in, cr.o_out)
         for a in ports:
@@ -182,7 +182,7 @@ def compile_sweep(diagram) -> _StatePlan:
                 incoming[t].append((s, kind + 3 * loops))
         boundary, states = after, successors
         sweep.append(cid)
-        levels.append((cr.sign, cr.pair(), tuple(map(tuple, incoming))))
+        levels.append((cr.sign, cr.sideways[:2], tuple(map(tuple, incoming))))
     assert len(states) == 1
     return _StatePlan(writhe(diagram), tuple(sweep), tuple(levels))
 

@@ -21,7 +21,7 @@ from vknotoid.bracket import (BracketError, ColoringMismatch, State,
 from vknotoid.biquandle import (AxiomReport, FiniteBiquandle,
                                 alexander_biquandle, verify_biquandle_axioms)
 from vknotoid.coloring import enumerate_colorings
-from vknotoid.diagram import crossing_relations, parse_diagram
+from vknotoid.diagram import parse_diagram
 from vknotoid.ring import Modulus, NotAUnit, poly_render
 from vknotoid.search import SearchConfig, search_brackets
 
@@ -525,8 +525,8 @@ def naive_components(diagram, smoothing):
         b = ("head",) if k == npass else ("in", k)
         edges.append((a, b))
     for cid, cr in crossings.items():
-        u_in, u_out = ("in", cr.under_pass), ("out", cr.under_pass)
-        o_in, o_out = ("in", cr.over_pass), ("out", cr.over_pass)
+        u_in, u_out = ("in", cr.u_in), ("out", cr.u_in)
+        o_in, o_out = ("in", cr.o_in), ("out", cr.o_in)
         kind = smoothing[cid]
         if kind == "vertical":
             edges += [(u_in, o_out), (o_in, u_out)]
@@ -837,5 +837,5 @@ def test_symbolic_evaluation_checks_its_coloring(corpus, z5_bracket):
         with pytest.raises(ColoringMismatch):
             evaluate_symbolic(sym, coloring, z5_bracket)
     assert evaluate_symbolic(sym, [2, False, 2, False, 2], z5_bracket) == 3
-    # the check reads the same presentation as evaluate's
-    assert sym.presentation == crossing_relations(corpus["2.1.1"])
+    # the check reads the same diagram as evaluate's
+    assert sym.diagram == corpus["2.1.1"]

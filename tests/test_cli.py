@@ -2,12 +2,15 @@ import csv
 import dataclasses
 import hashlib
 import json
+import random
 import re
 import shutil
 
 import pytest
 
 from vknotoid import bracket, cli
+from vknotoid.biquandle import (FiniteBiquandle, render_operation_matrix,
+                                verify_biquandle_axioms)
 from vknotoid.bracket import render_bracket
 from vknotoid.cli import build_parser, main
 from vknotoid.data import data_dir, corpus_dir
@@ -542,6 +545,23 @@ def test_corpus_and_selftest_check_the_biquandle(tmp_path, capsys):
     assert "biquandle fails axioms" in one_line_error(capsys)
     assert run(["selftest", corpus_dir() / "2.1.1.knd", "--biquandle", bad]) == 1
     assert "biquandle fails axioms" in one_line_error(capsys)
+
+
+def test_failing_biquandle_is_named_in_one_short_line(tmp_path, capsys):
+    # a seeded random n = 37 table fails some 10^5 axiom instances; the
+    # gate names their count and the first, not every one
+    rng = random.Random(37)
+    x = FiniteBiquandle(*(tuple(tuple(rng.randrange(37) for _ in range(37))
+                                for _ in range(37)) for _ in range(2)))
+    count = len(verify_biquandle_axioms(x).violations)
+    bad = tmp_path / "random37.biq"
+    bad.write_text(render_operation_matrix(x))
+    assert run(["invariants", corpus_dir() / "2.1.1.knd",
+                "--biquandle", bad]) == 1
+    err = one_line_error(capsys)
+    assert len(err.encode()) < 300
+    assert err.startswith("error: biquandle fails axioms: %d violations, "
+                          "first " % count)
 
 
 def test_corpus_malformed_manifest(tmp_path, capsys):

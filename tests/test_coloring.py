@@ -6,15 +6,18 @@ from vknotoid.biquandle import NotABiquandle, parse_operation_matrix
 from vknotoid.coloring import (counting_invariant, counting_matrix,
                                enumerate_colorings, iter_colorings,
                                matrix_product)
-from vknotoid.diagram import crossing_relations, parse_diagram, relation_holds
+from vknotoid.diagram import parse_diagram
 
 
 def brute_force_colorings(diagram, x):
-    """Independent oracle: try every assignment against every relation."""
-    pres = crossing_relations(diagram)
+    """Independent oracle: try every assignment against the operation tables
+    at every crossing's sideways (a, b, c, d): a under b = d, b over a = c."""
+    quads = [cr.sideways for cr in diagram.crossings().values()]
     out = []
     for colors in itertools.product(range(x.n), repeat=diagram.semi_arc_count):
-        if all(relation_holds(r, colors, x) for r in pres.relations):
+        if all(x.under_op(colors[a], colors[b]) == colors[d]
+               and x.over_op(colors[b], colors[a]) == colors[c]
+               for a, b, c, d in quads):
             out.append(colors)
     return out
 

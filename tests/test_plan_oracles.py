@@ -32,7 +32,7 @@ def test_compiled_plans_equal_the_oracles(corpus, z3_involution, z5_alexander,
           alexander_biquandle(7, 3, 2))
     codes = oracle_codes() + list(corpus.values())
     assert len(codes) == 104 + 32
-    assert any(cr.under_pass - cr.over_pass in (1, -1)
+    assert any(cr.u_in - cr.o_in in (1, -1)
                for d in codes for cr in d.crossings().values())
     for d in codes:
         bracket._PLANS.clear()

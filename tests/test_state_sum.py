@@ -1,26 +1,29 @@
 """Bit-for-bit oracles on seeded random codes: the frontier sweep against
 the 3^c state sum it replaced and against the symbolic state sum, the 3^c
 component table and the sweep plan's states against a naive walk of the
-smoothed curve, and the coloring plan against brute force, against the
+smoothed curve, the coloring plan against brute force, against the
 traversal walk it replaced, and on wide codes against linear algebra over
-Z_5."""
+Z_5, and the coloring check of evaluate against brute force."""
 
+import itertools
 import random
 from operator import mul
 
 import pytest
 
-from vknotoid.biquandle import alexander_biquandle, verify_biquandle_axioms
-from vknotoid.bracket import (Invariants, bracket_matrix, evaluate,
-                              evaluate_symbolic, fundamental_bracket,
-                              invariants)
+from vknotoid.biquandle import (alexander_biquandle, parse_operation_matrix,
+                                verify_biquandle_axioms)
+from vknotoid.bracket import (ColoringMismatch, Invariants, bracket_matrix,
+                              evaluate, evaluate_symbolic,
+                              fundamental_bracket, invariants)
 from vknotoid.coloring import (counting_matrix, enumerate_colorings,
                                iter_colorings)
-from vknotoid.diagram import (KnotoidDiagram, Pass, crossing_relations,
-                              insert_move, product, relation_holds, writhe)
+from vknotoid.diagram import (KnotoidDiagram, Pass, insert_move, product,
+                              writhe)
 from vknotoid.ring import BracketPolynomial
 
-from test_bracket import assert_states_match_naive
+from test_bracket import assert_states_match_naive, random_brackets
+from test_cli import NOT_A_BIQUANDLE
 from test_coloring import brute_force_colorings
 
 
@@ -111,7 +114,7 @@ def dense_evaluator(diagram, br):
     m = br.modulus.m
     crossings = diagram.crossings()
     by_sign = {1: (br.A, br.B, br.V), -1: (br.C, br.D, br.U)}
-    steps = [(by_sign[crossings[cid].sign], crossings[cid].pair())
+    steps = [(by_sign[crossings[cid].sign], crossings[cid].sideways[:2])
              for cid in sorted(crossings)]
     wfac = pow(br.omega, -writhe(diagram), m)
     weights = [pow(br.delta, k, m) * wfac % m
@@ -236,6 +239,40 @@ def test_colorings_are_the_sorted_brute_force_list(z3_coloring, z3_involution,
             == brute_force_colorings(d, z5_alexander)
 
 
+@pytest.mark.parametrize("table", ["z3_involution", "z3_coloring",
+                                   "not_a_biquandle"])
+def test_coloring_check_accepts_exactly_the_colorings(request, table):
+    # every assignment of c <= 3 codes with virtual crossings and kinks in
+    # both orientations: evaluate rejects exactly the non-colorings, also
+    # over a table that is not a biquandle, and the symbolic sum agrees
+    x = parse_operation_matrix(NOT_A_BIQUANDLE) if table == "not_a_biquandle" \
+        else request.getfixturevalue(table)
+    (br,) = random_brackets(x, 7, 1, seed=x.n)
+    rng = random.Random(14)
+    codes = [random_code(rng, c) for c in (1, 2, 3, 3)]
+    for c in (1, 2):
+        d = random_code(rng, c)
+        for over_first in (True, False):
+            codes.append(insert_move(d, "R1", rng.randint(0, len(d.passes)),
+                                     sign=rng.choice((1, -1)),
+                                     over_first=over_first))
+    kinks = [cr for d in codes for cr in d.crossings().values()]
+    assert any(cr.u_out == cr.o_in for cr in kinks)
+    assert any(cr.u_in == cr.o_out for cr in kinks)
+    assert all(d.virtual_count and d.classical_count <= 3 for d in codes)
+    for d in codes:
+        sym = fundamental_bracket(d)
+        colorings = set(brute_force_colorings(d, x))
+        for f in itertools.product(range(x.n), repeat=d.semi_arc_count):
+            if f in colorings:
+                assert evaluate_symbolic(sym, f, br) == evaluate(d, f, br)
+                continue
+            with pytest.raises(ColoringMismatch):
+                evaluate(d, f, br)
+            with pytest.raises(ColoringMismatch):
+                evaluate_symbolic(sym, f, br)
+
+
 def test_one_pass_agrees_with_the_wrappers(z3_involution, z5_bracket):
     for d in random_codes(5, (2, 4, 5)):
         inv = invariants(d, z3_involution, z5_bracket)
@@ -289,12 +326,12 @@ def walk_colorings(diagram, x):
     steps = [[(k, v) for v in range(x.n - 1, 0, -1)] for k in range(nseg)]
     tables = {}
     for c in diagram.crossings().values():
-        late = max(c.under_pass, c.over_pass)
-        key = (c.sign, late == c.under_pass)
+        late = max(c.u_in, c.o_in)
+        key = (c.sign, late == c.u_in)
         if key not in tables:
             tables[key] = _step_table(x, *key)
         steps[late + 1] = (tables[key], c.u_in, c.o_in,
-                           min(c.under_pass, c.over_pass) + 1)
+                           min(c.u_in, c.o_in) + 1)
     colors = [0] * nseg
     stack = steps[0] + [(0, 0)]
     while stack:
@@ -366,18 +403,21 @@ def test_wide_codes_against_linear_algebra():
             if frontier_width(d) >= 9:
                 codes.append(d)
     for d in codes:
-        rels = crossing_relations(d).relations
+        quads = [cr.sideways for cr in d.crossings().values()]
         rows = []
-        for r in rels:
-            row = [0] * d.semi_arc_count
-            if r.op == "under":
-                row[r.x - 1] += 2
-                row[r.y - 1] += 1
-            else:
-                row[r.x - 1] += 3
-            row[r.result - 1] -= 1
-            rows.append(row)
+        for a, b, c, dd in quads:
+            # a under b = d and b over a = c
+            under = [0] * d.semi_arc_count
+            under[a] += 2
+            under[b] += 1
+            under[dd] -= 1
+            over = [0] * d.semi_arc_count
+            over[b] += 3
+            over[c] -= 1
+            rows += [under, over]
         got = list(iter_colorings(d, x))
         assert len(got) == 5 ** nullity_mod_p(rows, d.semi_arc_count, 5)
         assert len(set(got)) == len(got)
-        assert all(relation_holds(r, f, x) for f in got for r in rels)
+        assert all(x.under_op(f[a], f[b]) == f[dd]
+                   and x.over_op(f[b], f[a]) == f[c]
+                   for f in got for a, b, c, dd in quads)
