@@ -14,7 +14,7 @@ from .diagram import (KnotoidDiagram, Pass, Crossing, parse_diagram,
                       PositionError)
 from .coloring import (enumerate_colorings, iter_colorings,
                        counting_invariant, counting_matrix, matrix_product)
-from .bracket import (VirtualBracket, SymbolicBracket, SymbolicTerm, State,
+from .bracket import (VirtualBracket, SymbolicBracket, State,
                       parse_bracket, render_bracket, verify_bracket_axioms,
                       enumerate_states,
                       evaluate, Invariants, invariants,

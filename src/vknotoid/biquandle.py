@@ -54,11 +54,6 @@ class AxiomReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def __str__(self) -> str:
-        if self.passed:
-            return "all axioms hold"
-        return "; ".join("%s at %s" % (a, w) for a, w in self.violations)
-
 
 # Per solve table, the known and the derived pair of a quadruple (a, b, c, d)
 # with S(a, b) = (c, d): S from (a, b) to (c, d), S^-1 from (c, d) to

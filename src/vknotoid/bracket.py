@@ -666,20 +666,17 @@ def bracket_matrix(diagram: KnotoidDiagram, x: FiniteBiquandle,
 # -- symbolic state sum ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class SymbolicTerm:
-    """delta^delta_exp * product of factors, one factor per classical
-    crossing: (letter, (a_i, a_j)) with 1-based semi-arc labels."""
-    delta_exp: int
-    factors: tuple[tuple[str, tuple[int, int]], ...]
-
-
-@dataclass(frozen=True)
 class SymbolicBracket:
-    """omega^omega_exp times the sum of the terms of the state sum; every
-    term shares the exponent, -writhe.  The diagram is what
-    :func:`evaluate_symbolic` checks a coloring against."""
+    """omega^omega_exp times the state sum; every state shares the
+    exponent, -writhe.  ``crossings`` holds each classical crossing once, in
+    ascending id: its letters in SMOOTHINGS order ("ABV" or "CDU") and its
+    argument pair as 1-based semi-arc labels.  ``states`` holds each state
+    once, in mixed-radix order over those crossings: the smoothing index of
+    each crossing and delta's exponent, the state's component count.  The
+    diagram is what :func:`evaluate_symbolic` checks a coloring against."""
     omega_exp: int
-    terms: tuple[SymbolicTerm, ...]
+    crossings: tuple[tuple[str, tuple[int, int]], ...]
+    states: tuple[tuple[tuple[int, ...], int], ...]
     diagram: KnotoidDiagram
 
 
@@ -693,17 +690,15 @@ class State:
 
 def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
     """All 3^c states in mixed-radix order over ascending crossing ids, read
-    off the terms of :func:`fundamental_bracket`."""
+    off the states of :func:`fundamental_bracket`."""
     cids = sorted(_plan(diagram).sweep)
-    return [State(tuple((cid, SMOOTHINGS["ABVCDU".index(letter) % 3])
-                        for cid, (letter, _) in zip(cids, t.factors)),
-                  t.delta_exp)
-            for t in fundamental_bracket(diagram).terms]
+    return [State(tuple(zip(cids, map(SMOOTHINGS.__getitem__, kinds))), m)
+            for kinds, m in fundamental_bracket(diagram).states]
 
 
 def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
-    """Symbolic state sum over the identity coloring: one term per state,
-    exactly 3^c of them, in mixed-radix order over ascending crossing ids.
+    """Symbolic state sum over the identity coloring: exactly 3^c states, in
+    mixed-radix order over ascending crossing ids.
 
     Each of the sweep plan's 3^c paths is one state: per crossing its
     smoothing's index, and the open piece plus the loops the path closes."""
@@ -714,31 +709,23 @@ def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
                   for s, x in edges for kinds, m in paths[s]]
                  for edges in incoming]
     where = sorted(range(len(plan.sweep)), key=plan.sweep.__getitem__)
-    # per crossing in ascending id: its letters in SMOOTHINGS order and its
-    # argument pair as 1-based semi-arc labels
-    crossings = [("ABV" if sign > 0 else "CDU", (i + 1, j + 1))
-                 for sign, (i, j), _ in map(plan.levels.__getitem__, where)]
+    crossings = tuple(("ABV" if sign > 0 else "CDU", (i + 1, j + 1))
+                      for sign, (i, j), _ in map(plan.levels.__getitem__, where))
     states = sorted((tuple(kinds[k] for k in where), m) for kinds, m in paths[0])
-    terms = tuple(
-        SymbolicTerm(m, tuple([(letters[k], pair)
-                               for (letters, pair), k in zip(crossings, kinds)]))
-        for kinds, m in states)
-    return SymbolicBracket(-plan.writhe, terms, diagram)
+    return SymbolicBracket(-plan.writhe, crossings, tuple(states), diagram)
 
 
 def render_symbolic(sym: SymbolicBracket) -> str:
-    """The sum term by term, each with the shared omega power; a diagram
-    has 3^c >= 1 terms."""
+    """The sum state by state, each term with the shared omega power; a
+    diagram has 3^c >= 1 states."""
     e = sym.omega_exp
-    omega = [] if e == 0 else ["w" if e == 1 else "w^%d" % e]
-    parts = []
-    for t in sym.terms:
-        bits = omega[:]
-        bits.append("d^%d" % t.delta_exp if t.delta_exp != 1 else "d")
-        for letter, (i, j) in t.factors:
-            bits.append("%s[a%d,a%d]" % (letter, i, j))
-        parts.append(" ".join(bits))
-    return " + ".join(parts)
+    omega = "" if e == 0 else "w " if e == 1 else "w^%d " % e
+    factors = [["%s[a%d,a%d]" % (letter, i, j) for letter in letters]
+               for letters, (i, j) in sym.crossings]
+    return " + ".join(
+        omega + " ".join(["d^%d" % m if m != 1 else "d"]
+                         + [f[k] for f, k in zip(factors, kinds)])
+        for kinds, m in sym.states)
 
 
 def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],
@@ -749,10 +736,12 @@ def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],
     biquandle."""
     coloring = _check_coloring(sym.diagram, coloring, br.biquandle)
     m = br.modulus.m
+    coeffs = [[br.table(letter)[coloring[i - 1]][coloring[j - 1]]
+               for letter in letters] for letters, (i, j) in sym.crossings]
     total = 0
-    for t in sym.terms:
-        prod = pow(br.delta, t.delta_exp, m)
-        for letter, (i, j) in t.factors:
-            prod = prod * br.table(letter)[coloring[i - 1]][coloring[j - 1]] % m
+    for kinds, comps in sym.states:
+        prod = pow(br.delta, comps, m)
+        for row, kind in zip(coeffs, kinds):
+            prod = prod * row[kind] % m
         total = (total + prod) % m
     return total * pow(br.omega, sym.omega_exp, m) % m

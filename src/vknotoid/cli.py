@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes are a stable contract: 0 success, 1 invariant/axiom failure,
-2 input error (running out of memory counts as one), 3 search budget
-exhausted.
+2 input error (running out of memory and an output closed by its reader
+count as one), 3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -362,7 +363,7 @@ def cmd_bracket_check(args) -> int:
 def cmd_bracket_fundamental(args) -> int:
     d = _load_diagram(args.diagram)
     sym = fundamental_bracket(d)
-    print("states: %d" % len(sym.terms))
+    print("states: %d" % len(sym.states))
     print(render_symbolic(sym))
     return OK
 
@@ -458,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fundamental", help="print the symbolic state sum",
         description="Print the symbolic state sum: one term per state, 3^c "
         "terms for c classical crossings.  At c = 9 that is 19,683 terms "
-        "(2 MB of text, 40 MB peak memory), at c = 11 177,147 terms (21 MB "
-        "of text, 250 MB peak); each added crossing triples the output.")
+        "(2 MB of text, 27 MB peak memory), at c = 11 177,147 terms (21 MB "
+        "of text, 105 MB peak); each added crossing triples the output.")
     p.add_argument("diagram")
     p.set_defaults(func=cmd_bracket_fundamental)
     return ap
@@ -468,7 +469,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, e.g. ``| head``; stdout goes to devnull so
+        # that the interpreter's final flush fails silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed by its reader", file=sys.stderr)
+        return INPUT_ERROR
     except CliExit as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

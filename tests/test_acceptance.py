@@ -127,16 +127,17 @@ def test_c04c_mutated_bracket_fails(z5_bracket, z3_involution):
 
 def test_c05_corpus_gate_symbolic(corpus):
     sym = fundamental_bracket(corpus["2.1.1"])
-    assert len(sym.terms) == 9
+    assert len(sym.states) == 9
     assert sym.omega_exp == 2
-    assert all([p for _, p in t.factors] == [(4, 1), (3, 4)] for t in sym.terms)
-    by_letters = {tuple(l for l, _ in t.factors): t.delta_exp for t in sym.terms}
+    assert [p for _, p in sym.crossings] == [(4, 1), (3, 4)]
+    by_letters = {tuple(l[k] for (l, _), k in zip(sym.crossings, kinds)): m
+                  for kinds, m in sym.states}
     assert by_letters == {
         ("C", "C"): 1, ("C", "D"): 1, ("C", "U"): 2,
         ("D", "C"): 1, ("D", "D"): 2, ("D", "U"): 1,
         ("U", "C"): 2, ("U", "D"): 1, ("U", "U"): 1,
     }
-    assert sorted(t.delta_exp for t in sym.terms) == [1, 1, 1, 1, 1, 1, 2, 2, 2]
+    assert sorted(m for _, m in sym.states) == [1, 1, 1, 1, 1, 1, 2, 2, 2]
     report("C5 fundamental bracket of 2.1.1 (gate): PASS")
 
 
@@ -297,7 +298,7 @@ def test_c09d_symbolic_concrete_agreement(corpus, z3_involution, z5_bracket):
     checked = 0
     for name, d in sorted(corpus.items()):
         sym = fundamental_bracket(d)
-        assert len(sym.terms) == 3 ** d.classical_count
+        assert len(sym.states) == 3 ** d.classical_count
         for f in enumerate_colorings(d, z3_involution):
             assert evaluate_symbolic(sym, f, z5_bracket) \
                 == evaluate(d, f, z5_bracket)

@@ -174,10 +174,7 @@ def test_axiom_violation_column_bijection():
 def test_a_report_passes_exactly_when_it_has_no_violations():
     # the verdict is derived from the violations; it cannot be given
     assert AxiomReport(()).passed
-    assert str(AxiomReport(())) == "all axioms hold"
-    failing = AxiomReport((("diagonal", (1,)),))
-    assert not failing.passed
-    assert str(failing) == "diagonal at (1,)"
+    assert not AxiomReport((("diagonal", (1,)),)).passed
     with pytest.raises(TypeError):
         AxiomReport(True, ())
 

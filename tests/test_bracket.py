@@ -730,27 +730,28 @@ def test_matrix_multiplicities_refine_counting_matrix(corpus, z3_coloring,
 
 def test_fundamental_of_trivial():
     sym = fundamental_bracket(parse_diagram(""))
-    assert len(sym.terms) == 1
-    t = sym.terms[0]
-    assert sym.omega_exp == 0 and t.delta_exp == 1 and t.factors == ()
+    assert sym.states == (((), 1),)
+    assert sym.omega_exp == 0 and sym.crossings == ()
     assert render_symbolic(sym) == "d"
 
 
 def test_fundamental_of_2_1_1_reproduces_reference_structure(corpus):
     sym = fundamental_bracket(corpus["2.1.1"])
-    assert len(sym.terms) == 9
+    assert len(sym.states) == 9
     assert sym.omega_exp == 2
-    for t in sym.terms:
-        pairs = [p for _, p in t.factors]
-        assert pairs == [(4, 1), (3, 4)]
-        assert all(letter in "CDU" for letter, _ in t.factors)
-    by_letters = {tuple(l for l, _ in t.factors): t.delta_exp for t in sym.terms}
+    pairs = [p for _, p in sym.crossings]
+    assert pairs == [(4, 1), (3, 4)]
+    for kinds, _ in sym.states:
+        assert all(letters[k] in "CDU"
+                   for (letters, _), k in zip(sym.crossings, kinds))
+    by_letters = {tuple(l[k] for (l, _), k in zip(sym.crossings, kinds)): m
+                  for kinds, m in sym.states}
     assert by_letters == {
         ("D", "D"): 2, ("C", "U"): 2, ("U", "C"): 2,
         ("D", "C"): 1, ("D", "U"): 1, ("C", "D"): 1,
         ("C", "C"): 1, ("U", "D"): 1, ("U", "U"): 1,
     }
-    exps = sorted(t.delta_exp for t in sym.terms)
+    exps = sorted(m for _, m in sym.states)
     assert exps == [1, 1, 1, 1, 1, 1, 2, 2, 2]
 
 

@@ -2,9 +2,13 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -529,6 +533,40 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
     monkeypatch.setattr(cli, "alexander_biquandle", exhausted)
     assert run(["biquandle", "alexander", 20000, 1, 1]) == 2
     assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("command", ["bracket fundamental", "search",
+                                     "biquandle check"])
+def test_a_closed_output_pipe_is_one_error_line(tmp_path, command):
+    # each command writes more than a 64 KB pipe buffer; the reader takes
+    # one byte and closes the pipe, as `| head -c 1` does.  Exit 2, as for
+    # an unwritable --out, and no traceback
+    if command == "bracket fundamental":
+        code = corpus_dir() / "4.1.5.knd"
+        for k, (gap, gap2) in enumerate(((0, 3), (2, 7))):
+            out = tmp_path / ("r2_%d.knd" % k)
+            assert run(["moves", "insert", code, "--move", "R2", "--gap", gap,
+                        "--gap2", gap2, "--out", out]) == 0
+            code = out
+        args = ["bracket", "fundamental", code]       # c = 8: 6,561 states
+    elif command == "search":
+        args = ["search", "--biquandle", BIQ / "z3_involution.biq",
+                "--modulus", 5, "--seed", 1]        # 19,456 brackets
+    else:
+        table = tmp_path / "a37s.biq"
+        assert run(["biquandle", "alexander", 37, 2, 1, "--shift-under", 1,
+                    "--out", table]) == 1
+        args = ["biquandle", "check", table]        # some 5 * 10^4 violations
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "vknotoid.cli"]
+                          + [str(a) for a in args], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
+        assert p.stdout.read(1)
+        p.stdout.close()
+        err = p.stderr.read().decode()
+    assert p.returncode == 2, err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1, err
 
 
 def test_diagram_with_a_repeated_line(tmp_path, capsys):

@@ -13,7 +13,8 @@ import pytest
 
 from vknotoid.biquandle import (alexander_biquandle, parse_operation_matrix,
                                 verify_biquandle_axioms)
-from vknotoid.bracket import (ColoringMismatch, Invariants, bracket_matrix,
+from vknotoid.bracket import (SMOOTHINGS, ColoringMismatch, Invariants,
+                              State, bracket_matrix, enumerate_states,
                               evaluate, evaluate_symbolic,
                               fundamental_bracket, invariants)
 from vknotoid.coloring import (counting_matrix, enumerate_colorings,
@@ -196,6 +197,27 @@ def oracle_codes(corpus):
     assert any(cr.u_out == cr.o_in for cr in kinks)
     assert any(cr.u_in == cr.o_out for cr in kinks)
     return codes
+
+
+def test_symbolic_bracket_holds_each_crossing_and_state_once(corpus):
+    # each crossing once, in ascending id: its letters and its argument
+    # pair, the first two semi-arcs of S; each state once, as its smoothing
+    # indices in mixed-radix order
+    for d in list(corpus.values()) + oracle_codes(corpus):
+        sym = fundamental_bracket(d)
+        crossings = d.crossings()
+        cids = sorted(crossings)
+        want = []
+        for cid in cids:
+            cr = crossings[cid]
+            a, b = cr.sideways[:2]
+            want.append(("ABV" if cr.sign > 0 else "CDU", (a + 1, b + 1)))
+        assert sym.crossings == tuple(want)
+        assert [kinds for kinds, _ in sym.states] \
+            == list(itertools.product(range(3), repeat=len(cids)))
+        assert enumerate_states(d) == [
+            State(tuple((cid, SMOOTHINGS[k]) for cid, k in zip(cids, kinds)), m)
+            for kinds, m in sym.states]
 
 
 def test_sweep_matches_the_3c_state_sum(corpus, z3_involution, z5_bracket,
