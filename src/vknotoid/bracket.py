@@ -59,7 +59,7 @@ import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .biquandle import AxiomReport, FiniteBiquandle
 from .coloring import _PLANS, cached_plan, counting_matrix, iter_colorings
@@ -288,8 +288,10 @@ def triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...], ...],
 
 # Each memo holds at most _MEMO_SIZE entries, read at call time.  The
 # reference search's 19,456 brackets have 1,728 distinct rows (with their m,
-# delta and omega); its node checks and brackets read 14,680 distinct triple
-# instances, so the triple memo is emptied once during it.
+# delta and omega); its node checks and brackets read 9,882 distinct triple
+# instances, so the triple memo is emptied once during it.  Its node checks
+# read 105,947 instances: only the subtrees that it walks, not those that it
+# replays from a scaled copy (see search).
 _MEMO_SIZE = 1 << 13
 
 
@@ -715,17 +717,21 @@ def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
     return SymbolicBracket(-plan.writhe, crossings, tuple(states), diagram)
 
 
-def render_symbolic(sym: SymbolicBracket) -> str:
-    """The sum state by state, each term with the shared omega power; a
-    diagram has 3^c >= 1 states."""
+def symbolic_terms(sym: SymbolicBracket) -> Iterator[str]:
+    """The terms of the sum state by state, each with the shared omega
+    power, rendered one at a time; a diagram has 3^c >= 1 states."""
     e = sym.omega_exp
     omega = "" if e == 0 else "w " if e == 1 else "w^%d " % e
     factors = [["%s[a%d,a%d]" % (letter, i, j) for letter in letters]
                for letters, (i, j) in sym.crossings]
-    return " + ".join(
-        omega + " ".join(["d^%d" % m if m != 1 else "d"]
-                         + [f[k] for f, k in zip(factors, kinds)])
-        for kinds, m in sym.states)
+    for kinds, m in sym.states:
+        yield omega + " ".join(["d^%d" % m if m != 1 else "d"]
+                               + [f[k] for f, k in zip(factors, kinds)])
+
+
+def render_symbolic(sym: SymbolicBracket) -> str:
+    """The sum as one string: its terms joined by " + "."""
+    return " + ".join(symbolic_terms(sym))
 
 
 def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],

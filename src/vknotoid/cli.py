@@ -24,7 +24,7 @@ from .biquandle import (BiquandleError, FiniteBiquandle, alexander_biquandle,
                         verify_biquandle_axioms)
 from .bracket import (BracketError, VirtualBracket, fundamental_bracket,
                       invariants, parse_bracket, render_bracket,
-                      render_symbolic, verify_bracket_axioms)
+                      symbolic_terms, verify_bracket_axioms)
 from .diagram import (DiagramError, KnotoidDiagram, insert_move, parse_diagram,
                       render_diagram, writhe)
 from .ring import RingError, poly_render
@@ -363,8 +363,13 @@ def cmd_bracket_check(args) -> int:
 def cmd_bracket_fundamental(args) -> int:
     d = _load_diagram(args.diagram)
     sym = fundamental_bracket(d)
-    print("states: %d" % len(sym.states))
-    print(render_symbolic(sym))
+    # the render_symbolic text, written term by term as it is rendered
+    terms = symbolic_terms(sym)
+    write = sys.stdout.write
+    write("states: %d\n%s" % (len(sym.states), next(terms)))
+    for term in terms:
+        write(" + " + term)
+    write("\n")
     return OK
 
 
@@ -427,10 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ansatz", choices=["diagonal", "full"], default="diagonal")
     p.add_argument("--budget", type=int, default=1_000_000,
                    help="most assignments to examine (default %(default)s); "
-                   "a search that needs more stops and exits 3.  It bounds "
-                   "assignments only: the O(p^2) pair solutions of each delta "
-                   "come first and are not bounded, so --modulus 1000003 runs "
-                   "until it is killed, whatever the budget")
+                   "a search that needs more stops and exits 3.  It counts "
+                   "every assignment of the full enumeration, also those of a "
+                   "subtree replayed as a scaled copy of one walked before.  "
+                   "It bounds assignments only: the O(p^2) pair solutions of "
+                   "each delta come first and are not bounded, so --modulus "
+                   "1000003 runs until it is killed, whatever the budget")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--require-delta-unit", action="store_true")
     p.add_argument("--out-dir")
@@ -458,9 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = brksub.add_parser(
         "fundamental", help="print the symbolic state sum",
         description="Print the symbolic state sum: one term per state, 3^c "
-        "terms for c classical crossings.  At c = 9 that is 19,683 terms "
-        "(2 MB of text, 27 MB peak memory), at c = 11 177,147 terms (21 MB "
-        "of text, 105 MB peak); each added crossing triples the output.")
+        "terms for c classical crossings, written as they are rendered.  At "
+        "c = 9 that is 19,683 terms (2 MB of text, 24 MB peak memory), at "
+        "c = 11 177,147 terms (21 MB of text, 86 MB peak); each added "
+        "crossing triples the output.")
     p.add_argument("diagram")
     p.set_defaults(func=cmd_bracket_fundamental)
     return ap

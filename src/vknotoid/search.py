@@ -23,10 +23,27 @@ non-empty verdict fails.  Every candidate that completes is passed to
 :func:`~vknotoid.bracket.verify_bracket_axioms` before being reported, and
 finds its triple verdicts held.  So the search and the final check share
 one definition and one cache of what a bracket is: the reference search
-(``z3_involution``, p = 5, diagonal ansatz, seed 1) evaluates 15,287 triple
-instances, 14,680 of them distinct.  The verifier also memoizes whole
+(``z3_involution``, p = 5, diagonal ansatz, seed 1) evaluates 10,294 triple
+instances, 9,882 of them distinct.  The verifier also memoizes whole
 coefficient rows, and the found brackets share their rows (below), so it
 looks up n rows per bracket, not n^2 pairs.
+
+Equations (1)-(23) are homogeneous, so unit scaling, lam * (A, B, V) with
+lam^-1 * (C, D, U) and lam * omega for lam in Z_p^*, maps the candidate
+lists onto themselves and keeps every triple verdict.  So cell 0's
+candidates fall into orbits of p - 1, and the subtree under lam * k is the
+lam-image of the subtree under k, node for node.  Per delta the subtree of
+each orbit's first member is walked, and its node count and completed
+assignments are kept; at a later member those nodes are counted and the
+lam-images of those assignments are replayed.  Every candidate list is
+a filter of the pair solutions, whose keys ascend with (A, B, V) in
+lexicographic order, so the walk would meet the images in the order of
+their candidates taken depth by depth, and they are sorted so.  A
+replayed assignment goes through the same leaf as a walked one: its rows
+and tables, the ``VirtualBracket`` and
+:func:`~vknotoid.bracket.verify_bracket_axioms`.  The reference search
+walks 30,968 of its 123,716 nodes and replays 92,748, and its node checks
+read 105,947 triple instances (423,788 when it walked every subtree).
 
 Found brackets share their immutable rows and tables.  Per delta, each
 distinct coefficient row is built once, keyed on the candidates of its
@@ -37,9 +54,12 @@ the reference search's 19,456 brackets hold 116,736 tables and 350,208
 rows, of which 3,345 and 125 are distinct.
 
 A search makes at most ``budget`` assignments, and reports itself
-exhausted only when it needed more.  The budget counts assignments only:
-the O(p^2) pair solutions of each delta are computed before its first
-node, so no budget bounds that work.
+exhausted only when it needed more.  The budget counts the assignments of
+the full enumeration, walked or replayed, and a replay that would pass it
+is walked instead, so the nodes, the brackets and their order are those of
+a walk of every subtree at every budget.  It counts assignments only: the
+O(p^2) pair solutions of each delta are computed before its first node, so
+no budget bounds that work.
 """
 
 from __future__ import annotations
@@ -159,6 +179,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     rng.shuffle(off_cells)
     order = [i * n + i for i in range(n)] + off_cells
     depth_of = {cell: depth for depth, cell in enumerate(order)}
+    by_depth = itemgetter(*order)
     # a triple's equations become checkable once its deepest cell is
     # assigned; each check reads the candidates at its six cells
     checks_at: list[list[itemgetter]] = [[] for _ in order]
@@ -199,6 +220,31 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                 by_omega.setdefault(w, []).append(k)
         verdicts = triple_verdicts(p, delta)
         rows = _Rows(sols, shared)
+
+        def emit(assign) -> None:
+            # the candidates of each row's n cells give its six coefficient
+            # rows, which give the six tables
+            tables = tuple(zip(*map(rows.__getitem__,
+                                    zip(*[iter(assign)] * n))))
+            br = VirtualBracket(x, modulus,
+                                *map(shared.setdefault, tables, tables),
+                                delta, omegas[assign[0]])
+            if verify_bracket_axioms(br).passed:
+                found.append(br)
+
+        # cell 0's candidates fall into orbits of p - 1 under unit scaling,
+        # each candidate -> (the orbit's first member, lam with cand = lam *
+        # first); the first member's subtree is walked and recorded in
+        # ``walked`` as (its nodes, its completed assignments)
+        orbit: dict[int, tuple[int, int]] = {}
+        for k in diag_cands:
+            if k not in orbit:
+                a, b, v = sols[k][:3]
+                for lam in range(1, p):
+                    orbit[pack_abv(p, lam * a, lam * b, lam * v)] = (k, lam)
+        walked: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
+        recording: list[tuple[int, ...]] | None = None
+        start = 0
         # the candidate at each cell; cells deeper than the current depth
         # hold stale candidates that no check reads
         assign = [0] * last
@@ -218,21 +264,37 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                         break
                 else:
                     if depth + 1 < last:
+                        if depth == 0:
+                            first, lam = orbit[cand]
+                            if first == cand:
+                                recording, start = [], nodes
+                            elif nodes + walked[first][0] <= cfg.budget:
+                                # replay: the subtree here is the lam-image
+                                # of the first member's, node for node, and
+                                # the walk would meet its completions in
+                                # the order of their candidates by depth
+                                size, done = walked[first]
+                                nodes += size
+                                scale = {k: pack_abv(p, *[lam * e
+                                                          for e in sol[:3]])
+                                         for k, sol in sols.items()}
+                                for image in sorted(
+                                        [tuple(map(scale.__getitem__, a))
+                                         for a in done], key=by_depth):
+                                    emit(image)
+                                continue
                         stack.append(iter(
                             off_cands if depth + 1 >= n
                             else by_omega[omegas[assign[0]]]))
                         break                   # go on at the next cell
-                    # the candidates of each row's n cells give its six
-                    # coefficient rows, which give the six tables
-                    tables = tuple(zip(*map(rows.__getitem__,
-                                            zip(*[iter(assign)] * n))))
-                    br = VirtualBracket(x, modulus,
-                                        *map(shared.setdefault, tables, tables),
-                                        delta, omegas[assign[0]])
-                    if verify_bracket_axioms(br).passed:
-                        found.append(br)
+                    if recording is not None:
+                        recording.append(tuple(assign))
+                    emit(assign)
             else:
                 stack.pop()                     # back to the previous cell
+                if recording is not None and len(stack) == 1:
+                    walked[assign[0]] = (nodes - start, recording)
+                    recording = None
     return SearchResult(found, False, nodes)
 
 

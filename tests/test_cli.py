@@ -15,9 +15,11 @@ import pytest
 from vknotoid import bracket, cli
 from vknotoid.biquandle import (FiniteBiquandle, render_operation_matrix,
                                 verify_biquandle_axioms)
-from vknotoid.bracket import render_bracket
+from vknotoid.bracket import (fundamental_bracket, render_bracket,
+                              render_symbolic)
 from vknotoid.cli import build_parser, main
 from vknotoid.data import data_dir, corpus_dir
+from vknotoid.diagram import parse_diagram
 from vknotoid.search import SearchResult
 
 BIQ = data_dir() / "biquandles"
@@ -467,6 +469,30 @@ def test_bracket_fundamental(capsys):
     assert "C[a4,a1]" in out
 
 
+def r2_grown_code(tmp_path):
+    """4.1.5 with two R2 moves inserted: a code file with 8 classical
+    crossings, so 6,561 states."""
+    code = corpus_dir() / "4.1.5.knd"
+    for k, (gap, gap2) in enumerate(((0, 3), (2, 7))):
+        out = tmp_path / ("r2_%d.knd" % k)
+        assert run(["moves", "insert", code, "--move", "R2", "--gap", gap,
+                    "--gap2", gap2, "--out", out]) == 0
+        code = out
+    return code
+
+
+def test_bracket_fundamental_writes_the_rendered_sum(tmp_path, capsys):
+    # the command writes its terms as they are rendered, and what it writes
+    # is the whole sum as render_symbolic gives it
+    code = r2_grown_code(tmp_path)
+    capsys.readouterr()
+    assert run(["bracket", "fundamental", code]) == 0
+    sym = fundamental_bracket(parse_diagram(code.read_text()))
+    assert len(sym.states) == 3 ** 8
+    assert capsys.readouterr().out \
+        == "states: %d\n" % len(sym.states) + render_symbolic(sym) + "\n"
+
+
 # -- input hardening: each bad input ends with exit 1 or 2 and one line -------------
 
 NOT_A_BIQUANDLE = "3\n1 2 1 3 3 3\n2 1 3 1 1 1\n1 3 2 2 2 2\n"
@@ -542,13 +568,7 @@ def test_a_closed_output_pipe_is_one_error_line(tmp_path, command):
     # one byte and closes the pipe, as `| head -c 1` does.  Exit 2, as for
     # an unwritable --out, and no traceback
     if command == "bracket fundamental":
-        code = corpus_dir() / "4.1.5.knd"
-        for k, (gap, gap2) in enumerate(((0, 3), (2, 7))):
-            out = tmp_path / ("r2_%d.knd" % k)
-            assert run(["moves", "insert", code, "--move", "R2", "--gap", gap,
-                        "--gap2", gap2, "--out", out]) == 0
-            code = out
-        args = ["bracket", "fundamental", code]       # c = 8: 6,561 states
+        args = ["bracket", "fundamental", r2_grown_code(tmp_path)]
     elif command == "search":
         args = ["search", "--biquandle", BIQ / "z3_involution.biq",
                 "--modulus", 5, "--seed", 1]        # 19,456 brackets

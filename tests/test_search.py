@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -13,8 +14,8 @@ import pytest
 
 from vknotoid import bracket, search
 from vknotoid.biquandle import AxiomReport, FiniteBiquandle, alexander_biquandle
-from vknotoid.bracket import (VirtualBracket, diagonal_residuals, render_bracket,
-                              triple_residuals, triple_slots,
+from vknotoid.bracket import (VirtualBracket, diagonal_residuals, invariants,
+                              render_bracket, triple_residuals, triple_slots,
                               verify_bracket_axioms)
 from vknotoid.data import load_biquandle
 from vknotoid.ring import Modulus
@@ -159,6 +160,46 @@ def test_found_brackets_share_equal_rows_and_tables(reference_search):
     for items, values in ((tables, 3345), (rows, 125)):
         assert len(set(items)) == values
         assert len({id(item) for item in items}) == values
+
+
+@functools.cache
+def _times(table, k, m):
+    # found brackets share their tables, so each is scaled once
+    return tuple(tuple(e * k % m for e in row) for row in table)
+
+
+def _scaled(br, lam):
+    """The image of a bracket under unit scaling by lam: (A, B, V) times lam,
+    (C, D, U) times lam^-1 and omega times lam."""
+    m = br.modulus.m
+    inv = pow(lam, -1, m)
+    return VirtualBracket(br.biquandle, br.modulus,
+                          *[_times(t, lam, m) for t in (br.A, br.B, br.V)],
+                          *[_times(t, inv, m) for t in (br.C, br.D, br.U)],
+                          br.delta, br.omega * lam % m)
+
+
+def test_unit_scaling_maps_the_reference_search_onto_itself(reference_search):
+    # the search replays the subtree of one cell-0 candidate per scaling
+    # orbit; that rests on the image of each valid bracket being one too,
+    # with the same tables, delta and omega as a bracket of the result
+    keys = {_key(br) for br in reference_search.brackets}
+    for lam in (2, 3, 4):
+        images = set()
+        for br in reference_search.brackets:
+            image = _scaled(br, lam)
+            assert verify_bracket_axioms(image).passed
+            images.add(_key(image))
+        assert images == keys
+
+
+def test_unit_scaling_keeps_every_invariant(corpus, z3_involution, z5_bracket):
+    for lam in (2, 3, 4):
+        image = _scaled(z5_bracket, lam)
+        assert image != z5_bracket
+        for d in corpus.values():
+            assert invariants(d, z3_involution, image) \
+                == invariants(d, z3_involution, z5_bracket)
 
 
 def test_search_node_counts_are_frozen(z3_involution):
@@ -387,7 +428,14 @@ ORACLE_CONFIGS = (
     + [("singleton", SearchConfig(p, "full", seed=seed))
        for p in (2, 3, 5, 7) for seed in range(3)]
     + [("z3_involution", SearchConfig(5, "diagonal", seed=1, budget=budget))
-       for budget in (1, 7, 20, 500)])
+       for budget in (1, 7, 20, 500)]
+    # the reference search's first replayed cell-0 candidate and its subtree
+    # are nodes 4,874-9,746: budgets that cut just before it, at its cell-0
+    # node, inside its subtree and at its end, and one inside the first
+    # replay at p = 7 (nodes 31,892-63,782)
+    + [("z3_involution", SearchConfig(5, "diagonal", seed=1, budget=budget))
+       for budget in (4873, 4874, 7000, 9746)]
+    + [("z3_involution", SearchConfig(7, "diagonal", seed=1, budget=40_000))])
 
 
 ORACLE_IDS = ["%s-p%d-%s-seed%d-budget%d%s"
