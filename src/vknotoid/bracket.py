@@ -557,8 +557,10 @@ def _evaluator(plan: _StatePlan, br: VirtualBracket):
     Per coloring, each level of the sweep reads the nine weights
     coefficient * delta^loops (:attr:`VirtualBracket._weights`) at its
     crossing's argument pair and carries the sum over partial states into
-    every successor state.  The final state is the open component, which
-    contributes one more delta.
+    every successor state.  A state with one incoming edge, about half of
+    all states, is carried by one multiply instead of a sum over a list.
+    The final state is the open component, which contributes one more
+    delta.
     """
     m = br.modulus.m
     by_sign = br._weights
@@ -570,8 +572,9 @@ def _evaluator(plan: _StatePlan, br: VirtualBracket):
         vals = [1]
         for table, i, j, incoming in steps:
             w = table[coloring[i]][coloring[j]]
-            vals = [sum([vals[s] * w[x] for s, x in edges]) % m
-                    for edges in incoming]
+            vals = [vals[e[0][0]] * w[e[0][1]] % m if len(e) == 1
+                    else sum([vals[s] * w[x] for s, x in e]) % m
+                    for e in incoming]
         return vals[0] * scale % m
 
     return value
@@ -633,24 +636,33 @@ class Invariants(NamedTuple):
 def invariants(diagram: KnotoidDiagram, x: FiniteBiquandle,
                br: VirtualBracket | None = None) -> Invariants:
     """Enumerate the colorings once, evaluating each under ``br`` if given;
-    BracketError if ``br`` is over another biquandle than ``x``."""
+    BracketError if ``br`` is over another biquandle than ``x``.
+
+    Only the (tail, head) cells that some coloring reaches are tallied and
+    get a polynomial of their own; every other cell of the bracket matrix
+    is one empty polynomial, shared within the call, so a call builds
+    O(colorings) polynomials, not n^2."""
     if br is None:
         return Invariants(counting_matrix(diagram, x))
     if br.biquandle is not x and br.biquandle != x:
         raise BracketError("the bracket is over another biquandle")
     value = _evaluator(_plan(diagram), br)
-    cells: list[list[dict[int, int]]] = [[{} for _ in range(x.n)]
-                                         for _ in range(x.n)]
+    cells: dict[tuple[int, int], dict[int, int]] = {}
     for f in iter_colorings(diagram, x):
+        cell = cells.setdefault((f[0], f[-1]), {})
         v = value(f)
-        cell = cells[f[0]][f[-1]]
         cell[v] = cell.get(v, 0) + 1
+    n, modulus = x.n, br.modulus
+    counts = [[0] * n for _ in range(n)]
+    empty = BracketPolynomial(modulus)
+    matrix = [[empty] * n for _ in range(n)]
     # a cell's values are residues with positive counts, so its terms are
     # canonical once sorted
-    return Invariants([[sum(c.values()) for c in row] for row in cells],
-                      [[BracketPolynomial(br.modulus,
-                                          tuple(sorted(c.items(), reverse=True)))
-                        for c in row] for row in cells])
+    for (i, j), cell in cells.items():
+        counts[i][j] = sum(cell.values())
+        matrix[i][j] = BracketPolynomial(
+            modulus, tuple(sorted(cell.items(), reverse=True)))
+    return Invariants(counts, matrix)
 
 
 def bracket_polynomial(diagram: KnotoidDiagram, x: FiniteBiquandle,
@@ -713,7 +725,14 @@ def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
     where = sorted(range(len(plan.sweep)), key=plan.sweep.__getitem__)
     crossings = tuple(("ABV" if sign > 0 else "CDU", (i + 1, j + 1))
                       for sign, (i, j), _ in map(plan.levels.__getitem__, where))
-    states = sorted((tuple(kinds[k] for k in where), m) for kinds, m in paths[0])
+    # the 3^c states are held once: each is replaced in place by its
+    # smoothings in ascending crossing id, and the list is sorted in place
+    states = paths.pop()
+    if where != sorted(where):          # then c >= 2, and a getter of tuples
+        order = itemgetter(*where)
+        for k, (kinds, m) in enumerate(states):
+            states[k] = (order(kinds), m)
+    states.sort()
     return SymbolicBracket(-plan.writhe, crossings, tuple(states), diagram)
 
 

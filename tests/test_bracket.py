@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from vknotoid.bracket import (BracketError, ColoringMismatch, State,
 from vknotoid.biquandle import (AxiomReport, FiniteBiquandle,
                                 alexander_biquandle, verify_biquandle_axioms)
 from vknotoid.coloring import enumerate_colorings
-from vknotoid.diagram import parse_diagram
+from vknotoid.diagram import insert_move, parse_diagram
 from vknotoid.ring import Modulus, NotAUnit, poly_render
 from vknotoid.search import SearchConfig, search_brackets
 
@@ -818,6 +819,26 @@ def test_fundamental_bracket_output_is_frozen(corpus):
         text = render_symbolic(fundamental_bracket(d))
         assert hashlib.sha256(text.encode()).hexdigest() \
             == FUNDAMENTAL_DIGESTS[key], key
+
+
+def test_fundamental_bracket_holds_its_states_once(corpus):
+    # 4.1.5 grown by three R2 moves: 10 classical crossings, 59,049 states.
+    # The plan is compiled first, so what is traced is the walk alone; with
+    # the states held once its peak stays below 1.5 times what the result
+    # keeps (two copies would put it near 2)
+    d = corpus["4.1.5"]
+    for gap, gap2 in ((0, 3), (2, 7), (5, 11)):
+        d = insert_move(d, "R2", gap, gap2)
+    assert d.classical_count == 10
+    bracket._plan(d)
+    tracemalloc.start()
+    try:
+        sym = fundamental_bracket(d)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sym.states) == 3 ** 10
+    assert peak < 1.5 * kept
 
 
 def test_symbolic_agrees_with_concrete(corpus, z3_involution, z3_shift,

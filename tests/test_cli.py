@@ -268,7 +268,32 @@ OUTPUT_DIGESTS = {
     "corpus json bad": (
         CORPUS + ["bad"],
         "7083c5f8e4760f469c0e403fc371b9add9008f8fb0cedaa2c4506abc04b4ed18"),
+    "corpus csv listing": (
+        CORPUS + ["listing", "--format", "csv"],
+        "a2ed404043558dd1af941071a64b49bce37ef44fc8bc3589f0d41f4ae1b7c129"),
+    "corpus json listing": (
+        CORPUS + ["listing"],
+        "9a766b167abcc2d1730fb96116545942607805c0eaf0dbe4fd0080c872986b34"),
 }
+
+# "listing" holds names that sort, match or split into stems in less common
+# ways: dot files, a file named exactly ".knd", separators on both sides of
+# ".", a non-ASCII name, an upper-case suffix that "*.knd" does not match, a
+# directory named like a diagram, a link to no file, a file that is not
+# UTF-8 and a name line that differs from its file's stem.  Its manifest gives some of them a
+# status, keyed by stem.  Its digests were taken while corpus still listed
+# the directory with Path.glob.
+LISTING = {".h.knd": "2.1.1", ".knd": "3.1.1", "A.knd": "3.1.2",
+           "a-b.knd": "4.1.5", "a.b.knd": "2.1.2", "a_b.knd": "3.1.5",
+           "\u00e9.knd": "4.1.1", "B.KND": "2.1.1"}
+LISTING_STATUSES = {"A": "verified", "renamed": "open", "other": "unused",
+                    ".knd": "dot", ".h": "hidden", "\u00e9": "accent"}
+LISTING_ERRORS = (
+    "error: gone.knd: [Errno 2] No such file or directory: "
+    "'listing/gone.knd'\n"
+    "error: latin1.knd: 'utf-8' codec can't decode byte 0xe9 in position 18: "
+    "invalid continuation byte\n"
+    "error: sub.knd: [Errno 21] Is a directory: 'listing/sub.knd'\n")
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +306,19 @@ def inputs_dir(tmp_path_factory):
     (root / "bad").mkdir()
     (root / "bad" / "good.knd").write_text("name good\ncode O+1,U+1\n")
     (root / "bad" / "bad.knd").write_text("name bad\ncode O+1,U-1\n")
+    listing = root / "listing"
+    listing.mkdir()
+    for name, source in LISTING.items():
+        text = (corpus_dir() / (source + ".knd")).read_text(encoding="utf-8")
+        (listing / name).write_text(text.splitlines()[1] + "\n",
+                                    encoding="utf-8")
+    (listing / "sub.knd").mkdir()
+    (listing / "sub.knd" / "inner.knd").write_text("code O+1,U+1\n")
+    (listing / "latin1.knd").write_bytes(b"code O+1,U+1\n# caf\xe9\n")
+    (listing / "gone.knd").symlink_to("missing.knd")
+    (listing / "renamed.knd").write_text("name other\ncode O+1,V1,U+1,V1\n")
+    (listing / "manifest.json").write_text(json.dumps(
+        {stem: {"status": status} for stem, status in LISTING_STATUSES.items()}))
     return root
 
 
@@ -292,6 +330,21 @@ def test_whole_outputs_are_pinned(inputs_dir, monkeypatch, capsys, name):
     out = re.sub(r'"wall_time_s": [^,\n]*', '"wall_time_s": 0',
                  capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where, spelled, prefix", [
+    ("", "listing", "listing/"), ("", "listing/", "listing/"),
+    ("listing", ".", ""), ("listing", "./", "")])
+def test_corpus_listing_errors_are_pinned(inputs_dir, monkeypatch, capsys,
+                                          fmt, where, spelled, prefix):
+    # an unreadable file is named by its path as pathlib spells it under
+    # --dir: "." adds no prefix and a trailing "/" is dropped
+    monkeypatch.chdir(inputs_dir / where)
+    argv = ["corpus", "--biquandle", inputs_dir / "z3.biq", "--dir", spelled]
+    assert run(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr().err == LISTING_ERRORS.replace(
+        "'listing/", "'" + prefix)
 
 
 def test_corpus_empty_dir(tmp_path):

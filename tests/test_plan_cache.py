@@ -201,3 +201,19 @@ def test_bracket_polynomial_is_the_sum_of_the_cells(corpus, z3_involution,
                 assert inv.bracket_polynomial.terms == ()
                 empty += 1
     assert empty
+
+
+@pytest.mark.parametrize("name, reached", [("4.1.5", 1369), ("2.1.1", 37)])
+def test_only_reached_cells_get_a_polynomial_of_their_own(corpus, name,
+                                                          reached):
+    # n = 37 has 1,369 cells: 4.1.5 reaches each of them once, 2.1.1 only
+    # 37, and every cell it does not reach is one shared empty polynomial
+    x = alexander_biquandle(37, 2, 1)
+    br = random_bracket(x)
+    d = corpus[name]
+    inv = invariants(d, x, br)
+    assert inv == dense_invariants(d, x, br)
+    occupied = sum(count > 0 for row in inv.counting_matrix for count in row)
+    assert occupied == reached
+    polys = {id(p) for row in inv.bracket_matrix for p in row}
+    assert len(polys) <= occupied + 1
