@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -19,6 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from ._reader import read_input
 from .biquandle import (BiquandleError, FiniteBiquandle, alexander_biquandle,
                         parse_operation_matrix, render_operation_matrix,
                         verify_biquandle_axioms)
@@ -43,9 +45,18 @@ class CliExit(Exception):
 
 def _read(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return read_input(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliExit("cannot read %s: %s" % (path, exc))
+
+
+def _stem(path: str) -> str:
+    """``Path(path).stem`` for a path that names a readable file, whose last
+    component is its base name: the name up to its last dot, unless that dot
+    leads it or ends it."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 def _load_biquandle(path: str) -> FiniteBiquandle:
@@ -71,7 +82,7 @@ def _verified_biquandle(path: str) -> FiniteBiquandle:
 
 def _load_diagram(path: str) -> KnotoidDiagram:
     try:
-        return parse_diagram(_read(path), name=Path(path).stem)
+        return parse_diagram(_read(path), name=_stem(path))
     except DiagramError as exc:
         raise CliExit("bad diagram file %s: %s" % (path, exc))
 
@@ -235,11 +246,18 @@ def cmd_invariants(args) -> int:
 
 
 def _statuses(path: Path) -> dict[str, str]:
-    """Diagram name -> status from a corpus manifest, if there is one."""
-    if not path.exists():
-        return {}
+    """File stem -> status from a corpus manifest, if there is one.  The
+    manifest is absent where ``Path.exists`` finds nothing: no entry, or a
+    link to none or to itself."""
     try:
-        manifest = json.loads(_read(path))
+        text = read_input(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, OSError) and exc.errno in (errno.ENOENT,
+                                                      errno.ELOOP):
+            return {}
+        raise CliExit("cannot read %s: %s" % (path, exc))
+    try:
+        manifest = json.loads(text)
     except ValueError as exc:
         raise CliExit("bad manifest %s: %s" % (path, exc))
     if not (isinstance(manifest, dict)
@@ -269,9 +287,7 @@ def cmd_corpus(args) -> int:
     for name in names:
         stem = os.path.splitext(name)[0]
         try:
-            with open(prefix + name, encoding="utf-8") as fh:
-                text = fh.read()
-            d = parse_diagram(text, name=stem)
+            d = parse_diagram(read_input(prefix + name), name=stem)
         except (OSError, UnicodeDecodeError, DiagramError) as exc:
             errors.append("%s: %s" % (name, exc))
             continue
@@ -420,7 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("corpus", help="tabulate invariants for a directory")
+    p = sub.add_parser(
+        "corpus", help="tabulate invariants for a directory",
+        description="Tabulate the invariants of every *.knd file in --dir, in "
+        "name order.  A record's name is its file's name line, or the file's "
+        "stem if it has none.  Its status is the entry for the file's stem in "
+        "--dir/manifest.json, or 'unlisted' if there is none, so a file whose "
+        "name line differs from its stem takes its stem's status.")
     p.add_argument("--dir", required=True)
     p.add_argument("--biquandle", required=True)
     p.add_argument("--bracket")

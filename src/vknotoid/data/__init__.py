@@ -9,37 +9,42 @@ import json
 from importlib import resources
 from pathlib import Path
 
+from .._reader import read_input
 from ..biquandle import FiniteBiquandle, parse_operation_matrix
 from ..bracket import VirtualBracket, parse_bracket
 from ..diagram import KnotoidDiagram, parse_diagram
 
 
+_DATA = Path(str(resources.files(__package__)))
+_CORPUS = _DATA / "corpus"
+
+
 def data_dir() -> Path:
-    return Path(str(resources.files(__package__)))
+    return _DATA
 
 
 def corpus_dir() -> Path:
-    return data_dir() / "corpus"
+    return _CORPUS
 
 
 def load_biquandle(name: str) -> FiniteBiquandle:
-    path = data_dir() / "biquandles" / (name + ".biq")
-    return parse_operation_matrix(path.read_text(encoding="utf-8"))
+    path = _DATA / "biquandles" / (name + ".biq")
+    return parse_operation_matrix(read_input(path))
 
 
 def load_bracket(name: str, biquandle: FiniteBiquandle) -> VirtualBracket:
-    path = data_dir() / "brackets" / (name + ".bvb")
-    return parse_bracket(path.read_text(encoding="utf-8"), biquandle)
+    path = _DATA / "brackets" / (name + ".bvb")
+    return parse_bracket(read_input(path), biquandle)
 
 
 def load_corpus(name: str) -> KnotoidDiagram:
-    path = corpus_dir() / (name + ".knd")
-    return parse_diagram(path.read_text(encoding="utf-8"), name=name)
+    path = _CORPUS / (name + ".knd")
+    return parse_diagram(read_input(path), name=name)
 
 
 def corpus_names() -> list[str]:
-    return sorted(p.stem for p in corpus_dir().glob("*.knd"))
+    return sorted(p.stem for p in _CORPUS.glob("*.knd"))
 
 
 def corpus_manifest() -> dict:
-    return json.loads((corpus_dir() / "manifest.json").read_text(encoding="utf-8"))
+    return json.loads(read_input(_CORPUS / "manifest.json"))

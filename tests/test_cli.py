@@ -347,6 +347,99 @@ def test_corpus_listing_errors_are_pinned(inputs_dir, monkeypatch, capsys,
         "'listing/", "'" + prefix)
 
 
+@pytest.fixture(scope="module")
+def newline_dirs(tmp_path_factory):
+    """The same inputs twice, under the same relative names: "lf" as
+    bundled, "crlf" with every line ending turned into "\\r\\n"."""
+    root = tmp_path_factory.mktemp("newlines")
+    sources = [(p, "corpus/" + p.name) for p in corpus_dir().iterdir()]
+    sources += [(BIQ / "z3_involution.biq", "z3.biq"),
+                (BIQ / "z3_shift.biq", "z3s.biq"),
+                (BRK / "z5_involution.bvb", "z5.bvb"),
+                (BRK / "z37_shift.bvb", "z37.bvb")]
+    for sub, ending in (("lf", b"\n"), ("crlf", b"\r\n")):
+        (root / sub / "corpus").mkdir(parents=True)
+        for source, name in sources:
+            data = source.read_bytes()
+            assert b"\r" not in data
+            (root / sub / name).write_bytes(data.replace(b"\n", ending))
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    INVARIANTS, INVARIANTS + BRACKET,
+    INVARIANTS + BRACKET + ["--format", "csv"],
+    INVARIANTS + BRACKET + ["--format", "json"],
+    CORPUS + ["corpus"] + BRACKET, CORPUS + ["corpus", "--format", "csv"],
+    ["biquandle", "check", "z3.biq"],
+    ["bracket", "check", "z5.bvb", "--biquandle", "z3.biq"],
+    ["bracket", "check", "z37.bvb", "--biquandle", "z3s.biq"]],
+    ids=" ".join)
+def test_crlf_inputs_give_the_same_output(newline_dirs, monkeypatch, capsys,
+                                          argv):
+    outputs = []
+    for sub in ("lf", "crlf"):
+        monkeypatch.chdir(newline_dirs / sub)
+        rc = run(argv)
+        out, err = capsys.readouterr()
+        outputs.append((rc, re.sub(r'"wall_time_s": [^,\n]*',
+                                   '"wall_time_s": 0', out), err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 1) and outputs[0][1]
+
+
+# the error lines of a directory given as an input file, as the commands
+# printed them while every input was still read through pathlib
+DIRECTORY_ERRORS = {
+    "diagram": (["invariants", "d", "--biquandle", "z3.biq"],
+                "error: cannot read d: [Errno 21] Is a directory: 'd'\n"),
+    "biquandle": (["invariants", "corpus/2.1.1.knd", "--biquandle", "d"],
+                  "error: cannot read d: [Errno 21] Is a directory: 'd'\n"),
+    "bracket": (INVARIANTS + ["--bracket", "d"],
+                "error: cannot read d: [Errno 21] Is a directory: 'd'\n"),
+    "manifest": (["corpus", "--dir", "m", "--biquandle", "z3.biq"],
+                 "error: cannot read m/manifest.json: [Errno 21] Is a "
+                 "directory: 'm/manifest.json'\n"),
+}
+
+
+@pytest.mark.parametrize("what", list(DIRECTORY_ERRORS))
+def test_a_directory_as_input_is_one_error_line(inputs_dir, tmp_path,
+                                                monkeypatch, capsys, what):
+    argv, line = DIRECTORY_ERRORS[what]
+    for name in ("corpus", "z3.biq", "z5.bvb"):
+        (tmp_path / name).symlink_to(inputs_dir / name)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "m" / "manifest.json").mkdir(parents=True)
+    shutil.copy(corpus_dir() / "2.1.1.knd", tmp_path / "m")
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", line)
+
+
+@pytest.mark.parametrize("target", ["nowhere.json", "manifest.json"])
+def test_a_manifest_link_to_nothing_is_no_manifest(tmp_path, capsys, target):
+    # a link to no file, or to itself, is absent to Path.exists
+    shutil.copy(corpus_dir() / "2.1.1.knd", tmp_path)
+    (tmp_path / "manifest.json").symlink_to(target)
+    assert run(["corpus", "--dir", tmp_path, "--biquandle",
+                BIQ / "z3_involution.biq", "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and ",unlisted," in out.splitlines()[1]
+
+
+@pytest.mark.parametrize("name", ["x", "x.knd", "a.b.knd", ".knd", ".h.knd",
+                                  "a.b.", "..a", "...", ".a.b", "é.knd"])
+def test_a_diagram_is_named_by_its_path_stem(tmp_path, monkeypatch, name):
+    # the default name of a diagram without a name line is Path(path).stem,
+    # however the path is spelled
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / name).write_text("code O+1,U+1\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path / "sub" / name, "sub/" + name, "./sub//" + name):
+        assert cli._load_diagram(str(path)).name == Path(path).stem
+
+
 def test_corpus_empty_dir(tmp_path):
     rc = run(["corpus", "--dir", tmp_path,
               "--biquandle", BIQ / "z3_coloring.biq"])
