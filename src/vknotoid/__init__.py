@@ -19,8 +19,7 @@ from .bracket import (VirtualBracket, SymbolicBracket, State,
                       enumerate_states,
                       evaluate, Invariants, invariants,
                       bracket_polynomial, bracket_matrix,
-                      fundamental_bracket, render_symbolic, evaluate_symbolic,
-                      ColoringMismatch)
+                      fundamental_bracket, ColoringMismatch)
 from .search import (SearchConfig, SearchResult, solve_pair, search_brackets,
                      brute_force_singleton)
 

@@ -45,10 +45,10 @@ the weights coefficient * delta^loops, so the cost grows with the number of
 states, which is set by the boundary width, not with 3^c; no step divides by
 delta.  :func:`invariants` enumerates the colorings once and fills the
 counting and bracket matrices together.  The symbolic form
-(:func:`enumerate_states`, :func:`fundamental_bracket`,
-:func:`evaluate_symbolic`) reads its 3^c terms off the same plan: each path
-through the sweep is one state, and its component count is the open piece
-plus the loops along the path, so the sweep is the only component counter.
+(:func:`enumerate_states`, :func:`fundamental_bracket`) reads its 3^c terms
+off the same plan: each path through the sweep is one state, and its
+component count is the open piece plus the loops along the path, so the
+sweep is the only component counter.
 """
 
 from __future__ import annotations
@@ -684,14 +684,14 @@ class SymbolicBracket:
     """omega^omega_exp times the state sum; every state shares the
     exponent, -writhe.  ``crossings`` holds each classical crossing once, in
     ascending id: its letters in SMOOTHINGS order ("ABV" or "CDU") and its
-    argument pair as 1-based semi-arc labels.  ``states`` holds each state
-    once, in mixed-radix order over those crossings: the smoothing index of
-    each crossing and delta's exponent, the state's component count.  The
-    diagram is what :func:`evaluate_symbolic` checks a coloring against."""
+    argument pair as 1-based semi-arc labels.  A state is its number, whose
+    base-3 digits are the smoothing indices of those crossings, the first
+    crossing most significant: the order ``itertools.product(range(3),
+    repeat=c)`` yields.  ``components[k]`` is delta's exponent, the
+    component count, of state k."""
     omega_exp: int
     crossings: tuple[tuple[str, tuple[int, int]], ...]
-    states: tuple[tuple[tuple[int, ...], int], ...]
-    diagram: KnotoidDiagram
+    components: bytes
 
 
 @dataclass(frozen=True)
@@ -704,36 +704,39 @@ class State:
 
 def enumerate_states(diagram: KnotoidDiagram) -> list[State]:
     """All 3^c states in mixed-radix order over ascending crossing ids, read
-    off the states of :func:`fundamental_bracket`."""
-    cids = sorted(_plan(diagram).sweep)
-    return [State(tuple(zip(cids, map(SMOOTHINGS.__getitem__, kinds))), m)
-            for kinds, m in fundamental_bracket(diagram).states]
+    off the component counts of :func:`fundamental_bracket`."""
+    choices = [[(cid, kind) for kind in SMOOTHINGS]
+               for cid in sorted(_plan(diagram).sweep)]
+    return list(map(State, itertools.product(*choices),
+                    fundamental_bracket(diagram).components))
 
 
 def fundamental_bracket(diagram: KnotoidDiagram) -> SymbolicBracket:
     """Symbolic state sum over the identity coloring: exactly 3^c states, in
     mixed-radix order over ascending crossing ids.
 
-    Each of the sweep plan's 3^c paths is one state: per crossing its
-    smoothing's index, and the open piece plus the loops the path closes."""
+    Each of the sweep plan's 3^c paths is one state.  A path carries, as
+    the one int number + 3^c * count, its state's number (each crossing it
+    has passed adds its smoothing index times 3^(c-1-rank), rank in
+    ascending id) and its component count (the open piece plus the loops
+    it closes).  At the end each count is written at its number."""
     plan = _plan(diagram)
-    paths = [[((), 1)]]                 # per partial state: (kinds, components)
-    for _, _, incoming in plan.levels:
-        paths = [[(kinds + (x % 3,), m + x // 3)
-                  for s, x in edges for kinds, m in paths[s]]
-                 for edges in incoming]
-    where = sorted(range(len(plan.sweep)), key=plan.sweep.__getitem__)
+    cids = sorted(plan.sweep)
+    size = 3 ** len(cids)
+    level = dict(zip(plan.sweep, plan.levels))
     crossings = tuple(("ABV" if sign > 0 else "CDU", (i + 1, j + 1))
-                      for sign, (i, j), _ in map(plan.levels.__getitem__, where))
-    # the 3^c states are held once: each is replaced in place by its
-    # smoothings in ascending crossing id, and the list is sorted in place
-    states = paths.pop()
-    if where != sorted(where):          # then c >= 2, and a getter of tuples
-        order = itemgetter(*where)
-        for k, (kinds, m) in enumerate(states):
-            states[k] = (order(kinds), m)
-    states.sort()
-    return SymbolicBracket(-plan.writhe, crossings, tuple(states), diagram)
+                      for sign, (i, j), _ in map(level.__getitem__, cids))
+    paths = [[size]]                    # number 0, the open piece
+    for cid, (_, _, incoming) in zip(plan.sweep, plan.levels):
+        place = 3 ** (len(cids) - 1 - cids.index(cid))
+        steps = [[(s, x % 3 * place + x // 3 * size) for s, x in edges]
+                 for edges in incoming]
+        paths = [[p + step for s, step in edges for p in paths[s]]
+                 for edges in steps]
+    components = bytearray(size)
+    for p in paths.pop():
+        components[p % size] = p // size
+    return SymbolicBracket(-plan.writhe, crossings, bytes(components))
 
 
 def symbolic_terms(sym: SymbolicBracket) -> Iterator[str]:
@@ -743,30 +746,7 @@ def symbolic_terms(sym: SymbolicBracket) -> Iterator[str]:
     omega = "" if e == 0 else "w " if e == 1 else "w^%d " % e
     factors = [["%s[a%d,a%d]" % (letter, i, j) for letter in letters]
                for letters, (i, j) in sym.crossings]
-    for kinds, m in sym.states:
+    for kinds, m in zip(itertools.product(range(3), repeat=len(factors)),
+                        sym.components):
         yield omega + " ".join(["d^%d" % m if m != 1 else "d"]
                                + [f[k] for f, k in zip(factors, kinds)])
-
-
-def render_symbolic(sym: SymbolicBracket) -> str:
-    """The sum as one string: its terms joined by " + "."""
-    return " + ".join(symbolic_terms(sym))
-
-
-def evaluate_symbolic(sym: SymbolicBracket, coloring: tuple[int, ...],
-                      br: VirtualBracket) -> int:
-    """Substitute a concrete coloring and bracket into the symbolic sum; the
-    value is in range(m).  Raises ColoringMismatch, as :func:`evaluate`
-    does, unless the coloring colors the diagram by the bracket's
-    biquandle."""
-    coloring = _check_coloring(sym.diagram, coloring, br.biquandle)
-    m = br.modulus.m
-    coeffs = [[br.table(letter)[coloring[i - 1]][coloring[j - 1]]
-               for letter in letters] for letters, (i, j) in sym.crossings]
-    total = 0
-    for kinds, comps in sym.states:
-        prod = pow(br.delta, comps, m)
-        for row, kind in zip(coeffs, kinds):
-            prod = prod * row[kind] % m
-        total = (total + prod) % m
-    return total * pow(br.omega, sym.omega_exp, m) % m

@@ -285,7 +285,7 @@ def cmd_corpus(args) -> int:
         names = []
     records, errors = [], []
     for name in names:
-        stem = os.path.splitext(name)[0]
+        stem = _stem(name)
         try:
             d = parse_diagram(read_input(prefix + name), name=stem)
         except (OSError, UnicodeDecodeError, DiagramError) as exc:
@@ -391,10 +391,10 @@ def cmd_bracket_check(args) -> int:
 def cmd_bracket_fundamental(args) -> int:
     d = _load_diagram(args.diagram)
     sym = fundamental_bracket(d)
-    # the render_symbolic text, written term by term as it is rendered
+    # the terms joined by " + ", written one by one as they are rendered
     terms = symbolic_terms(sym)
     write = sys.stdout.write
-    write("states: %d\n%s" % (len(sym.states), next(terms)))
+    write("states: %d\n%s" % (len(sym.components), next(terms)))
     for term in terms:
         write(" + " + term)
     write("\n")
@@ -500,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fundamental", help="print the symbolic state sum",
         description="Print the symbolic state sum: one term per state, 3^c "
         "terms for c classical crossings, written as they are rendered.  At "
-        "c = 9 that is 19,683 terms (2 MB of text, 22 MB peak memory), at "
-        "c = 11 177,147 terms (21 MB of text, 62 MB peak); each added "
+        "c = 9 that is 19,683 terms (2 MB of text, 18 MB peak memory), at "
+        "c = 11 177,147 terms (21 MB of text, 26 MB peak); each added "
         "crossing triples the output.")
     p.add_argument("diagram")
     p.set_defaults(func=cmd_bracket_fundamental)

@@ -16,7 +16,7 @@ from vknotoid.biquandle import (FiniteBiquandle, alexander_biquandle,
                                 render_operation_matrix,
                                 verify_biquandle_axioms)
 from vknotoid.bracket import (bracket_matrix, bracket_polynomial,
-                              diagonal_residuals, evaluate, evaluate_symbolic,
+                              diagonal_residuals, evaluate,
                               fundamental_bracket, verify_bracket_axioms)
 from vknotoid.coloring import (counting_invariant, counting_matrix,
                                enumerate_colorings, matrix_product)
@@ -24,8 +24,9 @@ from vknotoid.diagram import insert_move, product
 from vknotoid.ring import BracketPolynomial, poly_render
 from vknotoid.search import SearchConfig, brute_force_singleton, search_brackets
 
-from test_bracket import assert_states_match_naive
+from test_bracket import assert_states_match_naive, symbolic_states
 from test_coloring import brute_force_colorings
+from test_state_sum import dense_evaluator
 
 Z5_REFERENCE_MATRIX = """\
 5
@@ -127,17 +128,18 @@ def test_c04c_mutated_bracket_fails(z5_bracket, z3_involution):
 
 def test_c05_corpus_gate_symbolic(corpus):
     sym = fundamental_bracket(corpus["2.1.1"])
-    assert len(sym.states) == 9
+    states = symbolic_states(sym)
+    assert len(states) == 9
     assert sym.omega_exp == 2
     assert [p for _, p in sym.crossings] == [(4, 1), (3, 4)]
     by_letters = {tuple(l[k] for (l, _), k in zip(sym.crossings, kinds)): m
-                  for kinds, m in sym.states}
+                  for kinds, m in states}
     assert by_letters == {
         ("C", "C"): 1, ("C", "D"): 1, ("C", "U"): 2,
         ("D", "C"): 1, ("D", "D"): 2, ("D", "U"): 1,
         ("U", "C"): 2, ("U", "D"): 1, ("U", "U"): 1,
     }
-    assert sorted(m for _, m in sym.states) == [1, 1, 1, 1, 1, 1, 2, 2, 2]
+    assert sorted(m for _, m in states) == [1, 1, 1, 1, 1, 1, 2, 2, 2]
     report("C5 fundamental bracket of 2.1.1 (gate): PASS")
 
 
@@ -298,10 +300,10 @@ def test_c09d_symbolic_concrete_agreement(corpus, z3_involution, z5_bracket):
     checked = 0
     for name, d in sorted(corpus.items()):
         sym = fundamental_bracket(d)
-        assert len(sym.states) == 3 ** d.classical_count
+        assert len(sym.components) == 3 ** d.classical_count
+        value = dense_evaluator(sym, z5_bracket)
         for f in enumerate_colorings(d, z3_involution):
-            assert evaluate_symbolic(sym, f, z5_bracket) \
-                == evaluate(d, f, z5_bracket)
+            assert value(f) == evaluate(d, f, z5_bracket)
             checked += 1
     report("C9d symbolic/concrete agreement on %d colorings: PASS" % checked)
 

@@ -15,9 +15,9 @@ from vknotoid.bracket import (BracketError, ColoringMismatch, State,
                               bracket_matrix, bracket_polynomial,
                               diagonal_residuals,
                               enumerate_states, evaluate,
-                              evaluate_symbolic, fundamental_bracket,
+                              fundamental_bracket,
                               invariants, pair_residuals, parse_bracket, render_bracket,
-                              render_symbolic, triple_residuals, triple_slots,
+                              symbolic_terms, triple_residuals, triple_slots,
                               verify_bracket_axioms)
 from vknotoid.biquandle import (AxiomReport, FiniteBiquandle,
                                 alexander_biquandle, verify_biquandle_axioms)
@@ -729,37 +729,45 @@ def test_matrix_multiplicities_refine_counting_matrix(corpus, z3_coloring,
 
 # -- symbolic bracket ------------------------------------------------------------------
 
+def symbolic_states(sym):
+    """Each state of a symbolic sum as (smoothing indices, components): its
+    number's base-3 digits, first crossing first, and its byte."""
+    return list(zip(itertools.product(range(3), repeat=len(sym.crossings)),
+                    sym.components))
+
+
 def test_fundamental_of_trivial():
     sym = fundamental_bracket(parse_diagram(""))
-    assert sym.states == (((), 1),)
+    assert symbolic_states(sym) == [((), 1)]
     assert sym.omega_exp == 0 and sym.crossings == ()
-    assert render_symbolic(sym) == "d"
+    assert list(symbolic_terms(sym)) == ["d"]
 
 
 def test_fundamental_of_2_1_1_reproduces_reference_structure(corpus):
     sym = fundamental_bracket(corpus["2.1.1"])
-    assert len(sym.states) == 9
+    states = symbolic_states(sym)
+    assert len(states) == 9
     assert sym.omega_exp == 2
     pairs = [p for _, p in sym.crossings]
     assert pairs == [(4, 1), (3, 4)]
-    for kinds, _ in sym.states:
+    for kinds, _ in states:
         assert all(letters[k] in "CDU"
                    for (letters, _), k in zip(sym.crossings, kinds))
     by_letters = {tuple(l[k] for (l, _), k in zip(sym.crossings, kinds)): m
-                  for kinds, m in sym.states}
+                  for kinds, m in states}
     assert by_letters == {
         ("D", "D"): 2, ("C", "U"): 2, ("U", "C"): 2,
         ("D", "C"): 1, ("D", "U"): 1, ("C", "D"): 1,
         ("C", "C"): 1, ("U", "D"): 1, ("U", "U"): 1,
     }
-    exps = sorted(m for _, m in sym.states)
+    exps = sorted(m for _, m in states)
     assert exps == [1, 1, 1, 1, 1, 1, 2, 2, 2]
 
 
-# sha256 of render_symbolic(fundamental_bracket(d)), the output of
-# ``vknotoid bracket fundamental``: its term order, letters, semi-arc labels
-# and delta exponents.  Taken with the per-state union-find counter that the
-# sweep plan replaced.
+# sha256 of the terms of fundamental_bracket(d) joined by " + ", the output
+# of ``vknotoid bracket fundamental``: its term order, letters, semi-arc
+# labels and delta exponents.  Taken with the per-state union-find counter
+# that the sweep plan replaced.
 FUNDAMENTAL_DIGESTS = {
     "2.1.1": "b7132fa2eb9a05332501bfcb31fe932c3bb8f0d8cffff8ff5c0f94d90820d44a",
     "2.1.2": "a9b8a9d610e620143b00286ce115f7600654a63a1eadee3e074edb294e130615",
@@ -816,16 +824,17 @@ def test_fundamental_bracket_output_is_frozen(corpus):
     assert any(cr.u_out == cr.o_in for cr in kinks)
     assert any(cr.u_in == cr.o_out for cr in kinks)
     for key, d in diagrams.items():
-        text = render_symbolic(fundamental_bracket(d))
+        text = " + ".join(symbolic_terms(fundamental_bracket(d)))
         assert hashlib.sha256(text.encode()).hexdigest() \
             == FUNDAMENTAL_DIGESTS[key], key
 
 
 def test_fundamental_bracket_holds_its_states_once(corpus):
     # 4.1.5 grown by three R2 moves: 10 classical crossings, 59,049 states.
-    # The plan is compiled first, so what is traced is the walk alone; with
-    # the states held once its peak stays below 1.5 times what the result
-    # keeps (two copies would put it near 2)
+    # The plan is compiled first, so what is traced is the walk alone.  The
+    # result keeps one byte per state, and the walk's peak stays under 100
+    # bytes per state: a path is one int until its count is written at its
+    # number
     d = corpus["4.1.5"]
     for gap, gap2 in ((0, 3), (2, 7), (5, 11)):
         d = insert_move(d, "R2", gap, gap2)
@@ -834,30 +843,22 @@ def test_fundamental_bracket_holds_its_states_once(corpus):
     tracemalloc.start()
     try:
         sym = fundamental_bracket(d)
-        kept, peak = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(sym.states) == 3 ** 10
-    assert peak < 1.5 * kept
+    assert type(sym.components) is bytes
+    assert len(sym.components) == 3 ** 10
+    assert peak < 100 * 3 ** 10
 
 
 def test_symbolic_agrees_with_concrete(corpus, z3_involution, z3_shift,
                                        z5_bracket, z37_bracket):
+    # test_state_sum imports this module, so its oracle is imported here
+    from test_state_sum import dense_evaluator
     for name in ("2.1.1", "2.1.2", "3.1.2", "3.1.7", "4.1.5"):
         d = corpus[name]
         sym = fundamental_bracket(d)
         for x, br in ((z3_involution, z5_bracket), (z3_shift, z37_bracket)):
+            value = dense_evaluator(sym, br)
             for f in enumerate_colorings(d, x):
-                assert evaluate_symbolic(sym, f, br) == evaluate(d, f, br)
-
-
-def test_symbolic_evaluation_checks_its_coloring(corpus, z5_bracket):
-    sym = fundamental_bracket(corpus["2.1.1"])
-    for coloring in [(0, 0, 0, 0, 0),         # violates a crossing relation
-                     (2, 0),                  # too few colors
-                     (2.0, 0, 2, 0, 2)]:      # a float equal to an int
-        with pytest.raises(ColoringMismatch):
-            evaluate_symbolic(sym, coloring, z5_bracket)
-    assert evaluate_symbolic(sym, [2, False, 2, False, 2], z5_bracket) == 3
-    # the check reads the same diagram as evaluate's
-    assert sym.diagram == corpus["2.1.1"]
+                assert value(f) == evaluate(d, f, br)

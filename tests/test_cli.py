@@ -16,7 +16,7 @@ from vknotoid import bracket, cli
 from vknotoid.biquandle import (FiniteBiquandle, render_operation_matrix,
                                 verify_biquandle_axioms)
 from vknotoid.bracket import (fundamental_bracket, render_bracket,
-                              render_symbolic)
+                              symbolic_terms)
 from vknotoid.cli import build_parser, main
 from vknotoid.data import data_dir, corpus_dir
 from vknotoid.diagram import parse_diagram
@@ -347,6 +347,30 @@ def test_corpus_listing_errors_are_pinned(inputs_dir, monkeypatch, capsys,
         "'listing/", "'" + prefix)
 
 
+def test_corpus_names_a_file_as_invariants_does(tmp_path, capsys):
+    # "...knd" and "..knd" have the stems ".." and ".", as pathlib splits
+    # them; corpus names each record and looks up its status by that stem
+    code = (corpus_dir() / "2.1.1.knd").read_text().splitlines()[1] + "\n"
+    statuses = {".": "dots", "..": "more dots"}
+    files = ("...knd", "..knd")             # in name order
+    for name in files:
+        (tmp_path / name).write_text(code)
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {stem: {"status": status} for stem, status in statuses.items()}))
+    biq = BIQ / "z3_involution.biq"
+    names = []
+    for name in files:
+        assert run(["invariants", tmp_path / name, "--biquandle", biq,
+                    "--format", "json"]) == 0
+        names += [r["name"] for r in json.loads(capsys.readouterr().out)["results"]]
+    assert names == ["..", "."]
+    assert run(["corpus", "--dir", tmp_path, "--biquandle", biq,
+                "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(r["name"], r["status"]) for r in results] \
+        == [(name, statuses[name]) for name in names]
+
+
 @pytest.fixture(scope="module")
 def newline_dirs(tmp_path_factory):
     """The same inputs twice, under the same relative names: "lf" as
@@ -629,14 +653,14 @@ def r2_grown_code(tmp_path):
 
 def test_bracket_fundamental_writes_the_rendered_sum(tmp_path, capsys):
     # the command writes its terms as they are rendered, and what it writes
-    # is the whole sum as render_symbolic gives it
+    # is the whole sum, its terms joined by " + "
     code = r2_grown_code(tmp_path)
     capsys.readouterr()
     assert run(["bracket", "fundamental", code]) == 0
     sym = fundamental_bracket(parse_diagram(code.read_text()))
-    assert len(sym.states) == 3 ** 8
+    assert len(sym.components) == 3 ** 8
     assert capsys.readouterr().out \
-        == "states: %d\n" % len(sym.states) + render_symbolic(sym) + "\n"
+        == "states: %d\n" % 3 ** 8 + " + ".join(symbolic_terms(sym)) + "\n"
 
 
 # -- input hardening: each bad input ends with exit 1 or 2 and one line -------------

@@ -1,5 +1,5 @@
 """Bit-for-bit oracles on seeded random codes: the frontier sweep against
-the 3^c state sum it replaced and against the symbolic state sum, the 3^c
+the 3^c state sum it replaced, read off the symbolic state sum, the 3^c
 component table and the sweep plan's states against a naive walk of the
 smoothed curve, the coloring plan against brute force, against the
 traversal walk it replaced, and on wide codes against linear algebra over
@@ -15,15 +15,15 @@ from vknotoid.biquandle import (alexander_biquandle, parse_operation_matrix,
                                 verify_biquandle_axioms)
 from vknotoid.bracket import (SMOOTHINGS, ColoringMismatch, Invariants,
                               State, bracket_matrix, enumerate_states,
-                              evaluate, evaluate_symbolic,
-                              fundamental_bracket, invariants)
+                              evaluate, fundamental_bracket, invariants)
 from vknotoid.coloring import (counting_matrix, enumerate_colorings,
                                iter_colorings)
 from vknotoid.diagram import (KnotoidDiagram, Pass, insert_move, product,
                               writhe)
 from vknotoid.ring import BracketPolynomial
 
-from test_bracket import assert_states_match_naive, random_brackets
+from test_bracket import (assert_states_match_naive, random_brackets,
+                          symbolic_states)
 from test_cli import NOT_A_BIQUANDLE
 from test_coloring import brute_force_colorings
 
@@ -107,19 +107,17 @@ def state_components(diagram):
     return bytes(out)
 
 
-def dense_evaluator(diagram, br):
-    """The 3^c state sum the frontier sweep replaced, kept as an oracle:
-    per coloring it expands the products of all states level by level in
-    the order of the component table and weighs each by
-    delta^components * omega^(-writhe)."""
+def dense_evaluator(sym, br):
+    """The 3^c state sum the frontier sweep replaced, kept as the one oracle
+    that substitutes a coloring into a symbolic state sum: per coloring it
+    expands the products of all states level by level in the order of the
+    component table and weighs each by delta^components * omega^omega_exp.
+    The coloring is not checked."""
     m = br.modulus.m
-    crossings = diagram.crossings()
-    by_sign = {1: (br.A, br.B, br.V), -1: (br.C, br.D, br.U)}
-    steps = [(by_sign[crossings[cid].sign], crossings[cid].sideways[:2])
-             for cid in sorted(crossings)]
-    wfac = pow(br.omega, -writhe(diagram), m)
-    weights = [pow(br.delta, k, m) * wfac % m
-               for k in state_components(diagram)]
+    steps = [([br.table(letter) for letter in letters], (i - 1, j - 1))
+             for letters, (i, j) in sym.crossings]
+    wfac = pow(br.omega, sym.omega_exp, m)
+    weights = [pow(br.delta, k, m) * wfac % m for k in sym.components]
 
     def value(coloring):
         prods = [1]
@@ -132,7 +130,7 @@ def dense_evaluator(diagram, br):
 
 
 def dense_invariants(diagram, x, br):
-    value = dense_evaluator(diagram, br)
+    value = dense_evaluator(fundamental_bracket(diagram), br)
     cells = [[{} for _ in range(x.n)] for _ in range(x.n)]
     for f in iter_colorings(diagram, x):
         cell = cells[f[0]][f[-1]]
@@ -201,8 +199,9 @@ def oracle_codes(corpus):
 
 def test_symbolic_bracket_holds_each_crossing_and_state_once(corpus):
     # each crossing once, in ascending id: its letters and its argument
-    # pair, the first two semi-arcs of S; each state once, as its smoothing
-    # indices in mixed-radix order
+    # pair, the first two semi-arcs of S; each state once, as one byte at
+    # its mixed-radix number: the component count that the union-find
+    # counter gives the state whose digits are its smoothing indices
     for d in list(corpus.values()) + oracle_codes(corpus):
         sym = fundamental_bracket(d)
         crossings = d.crossings()
@@ -213,11 +212,12 @@ def test_symbolic_bracket_holds_each_crossing_and_state_once(corpus):
             a, b = cr.sideways[:2]
             want.append(("ABV" if cr.sign > 0 else "CDU", (a + 1, b + 1)))
         assert sym.crossings == tuple(want)
-        assert [kinds for kinds, _ in sym.states] \
-            == list(itertools.product(range(3), repeat=len(cids)))
+        assert sym.omega_exp == -writhe(d)
+        assert type(sym.components) is bytes
+        assert sym.components == state_components(d)
         assert enumerate_states(d) == [
             State(tuple((cid, SMOOTHINGS[k]) for cid, k in zip(cids, kinds)), m)
-            for kinds, m in sym.states]
+            for kinds, m in symbolic_states(sym)]
 
 
 def test_sweep_matches_the_3c_state_sum(corpus, z3_involution, z5_bracket,
@@ -239,10 +239,10 @@ def test_values_match_symbolic_state_sum(request, biquandle, bracket):
     x = request.getfixturevalue(biquandle)
     br = request.getfixturevalue(bracket)
     for d in random_codes(2, (1, 2, 3, 4, 5, 6) * 2):
-        sym = fundamental_bracket(d)
+        value = dense_evaluator(fundamental_bracket(d), br)
         cells = [[{} for _ in range(x.n)] for _ in range(x.n)]
         for f in enumerate_colorings(d, x):
-            want = evaluate_symbolic(sym, f, br)
+            want = value(f)
             assert evaluate(d, f, br) == want
             cell = cells[f[0]][f[-1]]
             cell[want] = cell.get(want, 0) + 1
@@ -266,7 +266,8 @@ def test_colorings_are_the_sorted_brute_force_list(z3_coloring, z3_involution,
 def test_coloring_check_accepts_exactly_the_colorings(request, table):
     # every assignment of c <= 3 codes with virtual crossings and kinks in
     # both orientations: evaluate rejects exactly the non-colorings, also
-    # over a table that is not a biquandle, and the symbolic sum agrees
+    # over a table that is not a biquandle, and agrees with the symbolic sum
+    # on the colorings
     x = parse_operation_matrix(NOT_A_BIQUANDLE) if table == "not_a_biquandle" \
         else request.getfixturevalue(table)
     (br,) = random_brackets(x, 7, 1, seed=x.n)
@@ -283,16 +284,14 @@ def test_coloring_check_accepts_exactly_the_colorings(request, table):
     assert any(cr.u_in == cr.o_out for cr in kinks)
     assert all(d.virtual_count and d.classical_count <= 3 for d in codes)
     for d in codes:
-        sym = fundamental_bracket(d)
+        value = dense_evaluator(fundamental_bracket(d), br)
         colorings = set(brute_force_colorings(d, x))
         for f in itertools.product(range(x.n), repeat=d.semi_arc_count):
             if f in colorings:
-                assert evaluate_symbolic(sym, f, br) == evaluate(d, f, br)
+                assert value(f) == evaluate(d, f, br)
                 continue
             with pytest.raises(ColoringMismatch):
                 evaluate(d, f, br)
-            with pytest.raises(ColoringMismatch):
-                evaluate_symbolic(sym, f, br)
 
 
 def test_one_pass_agrees_with_the_wrappers(z3_involution, z5_bracket):
