@@ -583,8 +583,8 @@ def _evaluator(plan: _StatePlan, br: VirtualBracket):
 def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
                     x: FiniteBiquandle) -> tuple[int, ...]:
     """The coloring as ints, if it colors the diagram's semi-arcs by ``x``:
-    a under b = d and b over a = c at each crossing's sideways (a, b, c, d),
-    read off the operation tables."""
+    S(a, b) = (c, d) at each crossing's sideways (a, b, c, d), read off the
+    sideways table of ``x``."""
     try:
         coloring = tuple(map(operator.index, coloring))     # 1.0 is no color
     except TypeError:
@@ -593,9 +593,10 @@ def _check_coloring(diagram: KnotoidDiagram, coloring: tuple[int, ...],
     if len(coloring) != nseg or not all(c in range(x.n) for c in coloring):
         raise ColoringMismatch("coloring needs %d colors in 0..%d"
                                % (nseg, x.n - 1))
+    sideways = x._solvers[0]        # a function on every table
     for cr in diagram.crossings().values():
         a, b, c, d = (coloring[k] for k in cr.sideways)
-        if x.under_op(a, b) != d or x.over_op(b, a) != c:
+        if sideways[a][b] != (c, d):
             raise ColoringMismatch("coloring violates a crossing relation")
     return coloring
 

@@ -10,11 +10,12 @@ A = B = 0 (diagonal ansatz, so C = D = 0 and U = V^{-1} there, the shape of
 the known small examples).  A candidate is its key there, the (A, B, V)
 packed into one int by :func:`~vknotoid.bracket.pack_abv`.
 
-The assignment holds one candidate per cell i * n + j.  One loop assigns
-the diagonal cells, then the off-diagonal ones in a seeded order, keeping
-per depth an iterator over the candidates left on an explicit stack, so no
-recursion limit bounds n.  omega is read off the candidate at cell 0 and
-never searched.  A triple's equations (9)-(23) are checked once its six
+The assignment holds one candidate per cell i * n + j.  Per delta, an
+outer loop takes cell 0's candidates in turn, and omega is read off each
+and never searched.  Under each, one loop assigns the other diagonal
+cells, then the off-diagonal ones in a seeded order, keeping per depth an
+iterator over the candidates left on an explicit stack, so no recursion
+limit bounds n.  A triple's equations (9)-(23) are checked once its six
 cells are assigned.  Those cells come from the verifier's table
 (:func:`~vknotoid.bracket.triple_cells`), and their six candidates are the
 verifier's key of that triple instance, so a check is a lookup in the
@@ -31,19 +32,20 @@ looks up n rows per bracket, not n^2 pairs.
 Equations (1)-(23) are homogeneous, so unit scaling, lam * (A, B, V) with
 lam^-1 * (C, D, U) and lam * omega for lam in Z_p^*, maps the candidate
 lists onto themselves and keeps every triple verdict.  So cell 0's
-candidates fall into orbits of p - 1, and the subtree under lam * k is the
-lam-image of the subtree under k, node for node.  Per delta the subtree of
-each orbit's first member is walked, and its node count and completed
-assignments are kept; at a later member those nodes are counted and the
-lam-images of those assignments are replayed.  Every candidate list is
-a filter of the pair solutions, whose keys ascend with (A, B, V) in
-lexicographic order, so the walk would meet the images in the order of
-their candidates taken depth by depth, and they are sorted so.  A
-replayed assignment goes through the same leaf as a walked one: its rows
-and tables, the ``VirtualBracket`` and
-:func:`~vknotoid.bracket.verify_bracket_axioms`.  The reference search
-walks 30,968 of its 123,716 nodes and replays 92,748, and its node checks
-read 105,947 triple instances (423,788 when it walked every subtree).
+candidates fall into orbits of p - 1, and the subtree rooted at lam * k
+is the lam-image of the one rooted at k, node for node.  Every
+candidate list is a filter of the pair solutions, whose keys ascend with
+(A, B, V) in lexicographic order, so an orbit's first member is its least
+key.  The outer loop walks the subtree of each first member and keeps its
+node count and completed assignments; at a later member it counts those
+nodes and replays the lam-images of those assignments instead of walking.
+The walk would meet the images in the order of their candidates taken
+depth by depth, and they are sorted so.  A replayed assignment goes
+through the same leaf as a walked one: its rows and tables, the
+``VirtualBracket`` and :func:`~vknotoid.bracket.verify_bracket_axioms`.
+The reference search walks 30,929 of its 123,716 nodes and replays
+92,787, and its node checks read 105,947 triple instances (423,788 when
+it walked every subtree).
 
 Found brackets share their immutable rows and tables.  Per delta, each
 distinct coefficient row is built once, keyed on the candidates of its
@@ -170,8 +172,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     Deterministic for a fixed (biquandle, config): value orders are drawn
     from random.Random(cfg.seed).
     """
-    p = cfg.modulus
-    n = x.n
+    p, n = cfg.modulus, x.n
     rng = random.Random(cfg.seed)
     # cell i * n + j holds the pair (i, j); the diagonal cells are assigned
     # first, then the off-diagonal ones in a seeded order
@@ -197,6 +198,8 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
 
     found: list[VirtualBracket] = []
     nodes = 0
+    # the candidate at each cell; no check reads one deeper than the depth
+    assign = [0] * last
 
     for delta in deltas:
         if cfg.require_delta_unit and math.gcd(delta, p) != 1:
@@ -209,11 +212,10 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         # diagonal candidates carry the omega that (1) gives them; cell 0
         # takes them all and fixes omega, the later diagonal cells keep only
         # the candidates with that omega, in the same order
-        omegas: dict[int, int] = {}
         diag_cands: list[int] = []
         by_omega: dict[int, list[int]] = {}
         for k, sol in sols.items():
-            w = omegas[k] = (delta * sol[0] + sol[1] + sol[2]) % p
+            w = (delta * sol[0] + sol[1] + sol[2]) % p
             if math.gcd(w, p) == 1 and not any(
                     r % p for r in diagonal_residuals(delta, w, *sol)):
                 diag_cands.append(k)
@@ -221,80 +223,63 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         verdicts = triple_verdicts(p, delta)
         rows = _Rows(sols, shared)
 
-        def emit(assign) -> None:
-            # the candidates of each row's n cells give its six coefficient
-            # rows, which give the six tables
+        def emit(assign, omega: int) -> None:
+            # each row's n candidates give its six coefficient rows: the tables
             tables = tuple(zip(*map(rows.__getitem__,
                                     zip(*[iter(assign)] * n))))
             br = VirtualBracket(x, modulus,
                                 *map(shared.setdefault, tables, tables),
-                                delta, omegas[assign[0]])
+                                delta, omega)
             if verify_bracket_axioms(br).passed:
                 found.append(br)
 
-        # cell 0's candidates fall into orbits of p - 1 under unit scaling,
-        # each candidate -> (the orbit's first member, lam with cand = lam *
-        # first); the first member's subtree is walked and recorded in
-        # ``walked`` as (its nodes, its completed assignments)
-        orbit: dict[int, tuple[int, int]] = {}
-        for k in diag_cands:
-            if k not in orbit:
-                a, b, v = sols[k][:3]
-                for lam in range(1, p):
-                    orbit[pack_abv(p, lam * a, lam * b, lam * v)] = (k, lam)
+        # a walked cell-0 candidate -> (its nodes, its completed assignments)
         walked: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
-        recording: list[tuple[int, ...]] | None = None
-        start = 0
-        # the candidate at each cell; cells deeper than the current depth
-        # hold stale candidates that no check reads
-        assign = [0] * last
-        # stack[depth] iterates the candidates still to try at order[depth]
-        stack = [iter(diag_cands)]
-        while stack:
-            depth = len(stack) - 1
-            cell = order[depth]
-            checks = checks_at[depth]
-            for cand in stack[-1]:
-                if nodes == cfg.budget:
-                    return SearchResult(found, True, nodes)
-                nodes += 1
-                assign[cell] = cand
-                for check in checks:
-                    if verdicts[check(assign)]:         # a family fails
-                        break
+        for cand in diag_cands:
+            a, b, v = sols[cand][:3]
+            omega = (delta * a + b + v) % p
+            # cell 0's candidates ascend with their keys, so the first member
+            # of cand's unit-scaling orbit is its least key; cand = lam * first
+            first, lam = min((pack_abv(p, mu * a, mu * b, mu * v),
+                              pow(mu, -1, p)) for mu in range(1, p))
+            if first != cand and nodes + walked[first][0] <= cfg.budget:
+                # replay: this subtree is the lam-image of first's, node for
+                # node, met in the order of its candidates depth by depth
+                size, done = walked[first]
+                nodes += size
+                scale = {k: pack_abv(p, *[lam * e for e in sol[:3]])
+                         for k, sol in sols.items()}
+                for image in sorted([tuple(map(scale.__getitem__, d))
+                                     for d in done], key=by_depth):
+                    emit(image, omega)
+                continue
+            # walk: cands[depth] is the candidate list at order[depth], and
+            # stack[depth] iterates what is left of it
+            cands = [(cand,)] + [by_omega[omega]] * (n - 1) \
+                + [off_cands] * (last - n)
+            start, done = nodes, []
+            stack = [iter(cands[0])]
+            while stack:
+                depth = len(stack) - 1
+                cell = order[depth]
+                checks = checks_at[depth]
+                for k in stack[-1]:
+                    if nodes == cfg.budget:
+                        return SearchResult(found, True, nodes)
+                    nodes += 1
+                    assign[cell] = k
+                    for check in checks:
+                        if verdicts[check(assign)]:     # a family fails
+                            break
+                    else:
+                        if depth + 1 < last:
+                            stack.append(iter(cands[depth + 1]))
+                            break               # go on at the next cell
+                        done.append(tuple(assign))
+                        emit(assign, omega)
                 else:
-                    if depth + 1 < last:
-                        if depth == 0:
-                            first, lam = orbit[cand]
-                            if first == cand:
-                                recording, start = [], nodes
-                            elif nodes + walked[first][0] <= cfg.budget:
-                                # replay: the subtree here is the lam-image
-                                # of the first member's, node for node, and
-                                # the walk would meet its completions in
-                                # the order of their candidates by depth
-                                size, done = walked[first]
-                                nodes += size
-                                scale = {k: pack_abv(p, *[lam * e
-                                                          for e in sol[:3]])
-                                         for k, sol in sols.items()}
-                                for image in sorted(
-                                        [tuple(map(scale.__getitem__, a))
-                                         for a in done], key=by_depth):
-                                    emit(image)
-                                continue
-                        stack.append(iter(
-                            off_cands if depth + 1 >= n
-                            else by_omega[omegas[assign[0]]]))
-                        break                   # go on at the next cell
-                    if recording is not None:
-                        recording.append(tuple(assign))
-                    emit(assign)
-            else:
-                stack.pop()                     # back to the previous cell
-                if recording is not None and len(stack) == 1:
-                    walked[assign[0]] = (nodes - start, recording)
-                    recording = None
+                    stack.pop()                 # back to the previous cell
+            walked[cand] = (nodes - start, done)
     return SearchResult(found, False, nodes)
 
 

@@ -587,6 +587,21 @@ def test_search_within_budget_exits_zero(tmp_path):
     assert len(list(tmp_path.glob("bracket_*.bvb"))) == 40
 
 
+@pytest.mark.parametrize("flag, last, deltas", [
+    ([], "searched 1594 nodes, 40 solution(s)", {"0", "1", "2"}),
+    (["--require-delta-unit"], "searched 1480 nodes, 32 solution(s)",
+     {"1", "2"})])
+def test_search_require_delta_unit(capsys, flag, last, deltas):
+    # z3_coloring has 8 brackets over Z_3 with delta = 0; the flag skips
+    # that delta and its 114 nodes
+    assert run(["search", "--biquandle", BIQ / "z3_coloring.biq",
+                "--modulus", 3, "--ansatz", "full"] + flag) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == last
+    assert {re.search(r" delta=(\d+) ", line)[1] for line in out
+            if line.startswith("solution ")} == deltas
+
+
 def test_moves_insert(tmp_path, capsys):
     out = tmp_path / "moved.knd"
     rc = run(["moves", "insert", corpus_dir() / "2.1.1.knd",

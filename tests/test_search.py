@@ -14,9 +14,10 @@ import pytest
 
 from vknotoid import bracket, search
 from vknotoid.biquandle import AxiomReport, FiniteBiquandle, alexander_biquandle
-from vknotoid.bracket import (VirtualBracket, diagonal_residuals, invariants,
-                              render_bracket, triple_residuals, triple_slots,
-                              verify_bracket_axioms)
+from vknotoid.bracket import (VirtualBracket, diagonal_residuals, evaluate,
+                              invariants, render_bracket, triple_residuals,
+                              triple_slots, verify_bracket_axioms)
+from vknotoid.coloring import enumerate_colorings
 from vknotoid.data import load_biquandle
 from vknotoid.ring import Modulus
 from vknotoid.search import (SearchConfig, SearchResult, brute_force_singleton,
@@ -71,11 +72,13 @@ def test_singleton_full_search_matches_brute_force(p):
         assert verify_bracket_axioms(br).passed
 
 
+REFERENCE = SearchConfig(modulus=5, ansatz="diagonal", seed=1)
+
+
 @pytest.fixture(scope="module")
 def reference_search(z3_involution):
     """The reference search, run once for the tests that read it."""
-    return search_brackets(z3_involution,
-                           SearchConfig(modulus=5, ansatz="diagonal", seed=1))
+    return search_brackets(z3_involution, REFERENCE)
 
 
 def test_reference_search_output_is_frozen(reference_search):
@@ -191,6 +194,72 @@ def test_unit_scaling_maps_the_reference_search_onto_itself(reference_search):
             assert verify_bracket_axioms(image).passed
             images.add(_key(image))
         assert images == keys
+
+
+def test_the_reference_search_replays_scaled_subtrees(monkeypatch,
+                                                     z3_involution):
+    # the output is the same whether a subtree is walked or replayed; the
+    # node checks' lookups in the triple memo tell them apart: 105,947 when
+    # one cell-0 candidate per scaling orbit is walked, 423,788 when every
+    # one is
+    lookups = 0
+
+    class Counting:
+        def __init__(self, part):
+            self.part = part
+
+        def __getitem__(self, key):
+            nonlocal lookups
+            lookups += 1
+            return self.part[key]
+
+    monkeypatch.setattr(search, "triple_verdicts", lambda m, delta:
+                        Counting(bracket.triple_verdicts(m, delta)))
+    result = search_brackets(z3_involution, REFERENCE)
+    assert (result.nodes, len(result.brackets)) == (123_716, 19_456)
+    assert lookups == 105_947
+
+
+def gauge(br, h):
+    """The endpoint gauge of a bracket by h: X -> Z_m^*, one unit per
+    element: (A, B, V) at (x, y) times s = h(x) h(c) / (h(y) h(d)) with
+    (c, d) = S(x, y), and (C, D, U) times s^-1."""
+    x, m = br.biquandle, br.modulus.m
+    s = [[h[i] * h[x.over_op(j, i)] * pow(h[j] * h[x.under_op(i, j)], -1, m)
+          % m for j in range(x.n)] for i in range(x.n)]
+    inv = [[pow(e, -1, m) for e in row] for row in s]
+
+    def times(table, by):
+        return tuple(tuple(e * k % m for e, k in zip(row, krow))
+                     for row, krow in zip(table, by))
+
+    return VirtualBracket(x, br.modulus,
+                          *[times(t, s) for t in (br.A, br.B, br.V)],
+                          *[times(t, inv) for t in (br.C, br.D, br.U)],
+                          br.delta, br.omega)
+
+
+def test_the_endpoint_gauge_scales_each_value_by_its_endpoints(
+        corpus, z5_bracket, reference_search, z3_coloring_brackets):
+    # the gauge image of a valid bracket is valid, and it multiplies the
+    # value of each coloring by h(tail) / h(head)
+    rng = random.Random(9)
+    brackets = ([z5_bracket] + reference_search.brackets[::400]
+                + z3_coloring_brackets)
+    changed = colorings = 0
+    for br in brackets:
+        x, m = br.biquandle, br.modulus.m
+        h = [rng.randrange(1, m) for _ in range(x.n)]
+        image = gauge(br, h)
+        assert verify_bracket_axioms(image).passed
+        changed += image != br
+        for d in corpus.values():
+            for f in enumerate_colorings(d, x):
+                colorings += 1
+                assert evaluate(d, f, image) == evaluate(d, f, br) \
+                    * h[f[0]] * pow(h[f[-1]], -1, m) % m
+    assert (len(brackets), colorings) == (90, 9360)
+    assert changed > len(brackets) // 2
 
 
 def test_unit_scaling_keeps_every_invariant(corpus, z3_involution, z5_bracket):
