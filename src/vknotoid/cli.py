@@ -43,11 +43,17 @@ class CliExit(Exception):
         self.code = code
 
 
-def _read(path: str | Path) -> str:
+def _load(path: str, what: str, parse, *args, **kwargs):
+    """``parse`` of the file's text, read as every input file is read; a
+    file that cannot be read or parsed is an input error naming it."""
     try:
-        return read_input(path)
+        text = read_input(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliExit("cannot read %s: %s" % (path, exc))
+    try:
+        return parse(text, *args, **kwargs)
+    except (BiquandleError, BracketError, DiagramError, RingError) as exc:
+        raise CliExit("bad %s file %s: %s" % (what, path, exc))
 
 
 def _stem(path: str) -> str:
@@ -59,18 +65,13 @@ def _stem(path: str) -> str:
     return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
-def _load_biquandle(path: str) -> FiniteBiquandle:
-    try:
-        return parse_operation_matrix(_read(path))
-    except BiquandleError as exc:
-        raise CliExit("bad biquandle file %s: %s" % (path, exc))
-
-
 def _verified_biquandle(path: str) -> FiniteBiquandle:
-    """A table that the colorings may rely on: every axiom checked.  A
-    failing table is named by its count and first violation only; a random
-    n = 37 table has some 10^5 of them."""
-    x = _load_biquandle(path)
+    """A table that colorings and brackets may rely on: every axiom checked.
+    Every ``--biquandle`` is read through here; only ``biquandle check``
+    reads a table without it, to list the violations.  A failing table is
+    named by its count and first violation only; a random n = 37 table has
+    some 10^5 of them."""
+    x = _load(path, "biquandle", parse_operation_matrix)
     report = verify_biquandle_axioms(x)
     if not report.passed:
         axiom, witness = report.violations[0]
@@ -81,17 +82,7 @@ def _verified_biquandle(path: str) -> FiniteBiquandle:
 
 
 def _load_diagram(path: str) -> KnotoidDiagram:
-    try:
-        return parse_diagram(_read(path), name=_stem(path))
-    except DiagramError as exc:
-        raise CliExit("bad diagram file %s: %s" % (path, exc))
-
-
-def _load_bracket(path: str, x: FiniteBiquandle) -> VirtualBracket:
-    try:
-        return parse_bracket(_read(path), x)
-    except (BracketError, RingError) as exc:
-        raise CliExit("bad bracket file %s: %s" % (path, exc))
+    return _load(path, "diagram", parse_diagram, name=_stem(path))
 
 
 def _write(path: str | Path, text: str) -> None:
@@ -111,7 +102,7 @@ def _emit(text: str, out: str | None) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_biquandle_check(args) -> int:
-    x = _load_biquandle(args.file)
+    x = _load(args.file, "biquandle", parse_operation_matrix)
     report = verify_biquandle_axioms(x)
     if report.passed:
         print("ok: %d-element biquandle, all axioms hold" % x.n)
@@ -225,7 +216,7 @@ def _table(args: argparse.Namespace, started: float, inputs: list[str],
 def _verified_bracket(args, x: FiniteBiquandle) -> VirtualBracket | None:
     if not args.bracket:
         return None
-    br = _load_bracket(args.bracket, x)
+    br = _load(args.bracket, "bracket", parse_bracket, x)
     if not args.no_verify:
         report = verify_bracket_axioms(br)
         if not report.passed:
@@ -372,8 +363,8 @@ def cmd_moves_insert(args) -> int:
 
 
 def cmd_bracket_check(args) -> int:
-    x = _load_biquandle(args.biquandle)
-    br = _load_bracket(args.file, x)
+    x = _verified_biquandle(args.biquandle)
+    br = _load(args.file, "bracket", parse_bracket, x)
     report = verify_bracket_axioms(br)
     if report.passed:
         print("ok: bracket satisfies all 23 equation families")
@@ -403,6 +394,14 @@ def cmd_bracket_fundamental(args) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+def _table_options(p: argparse.ArgumentParser) -> None:
+    """The table, and the bracket over it, of a command that computes
+    invariants."""
+    p.add_argument("--biquandle", required=True)
+    p.add_argument("--bracket")
+    p.add_argument("--no-verify", action="store_true")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused for the life of the
@@ -429,9 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="compute invariants of one diagram")
     p.add_argument("diagram")
-    p.add_argument("--biquandle", required=True)
-    p.add_argument("--bracket")
-    p.add_argument("--no-verify", action="store_true")
+    _table_options(p)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_invariants)
@@ -444,18 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir/manifest.json, or 'unlisted' if there is none, so a file whose "
         "name line differs from its stem takes its stem's status.")
     p.add_argument("--dir", required=True)
-    p.add_argument("--biquandle", required=True)
-    p.add_argument("--bracket")
-    p.add_argument("--no-verify", action="store_true")
+    _table_options(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("selftest", help="randomized move-invariance check")
     p.add_argument("diagram")
-    p.add_argument("--biquandle", required=True)
-    p.add_argument("--bracket")
-    p.add_argument("--no-verify", action="store_true")
+    _table_options(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
@@ -463,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search brackets over a prime field")
     p.add_argument("--biquandle", required=True)
     p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--ansatz", choices=["diagonal", "full"], default="diagonal")
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--ansatz", choices=["diagonal", "full"],
+                   default=SearchConfig.ansatz)
+    p.add_argument("--budget", type=int, default=SearchConfig.budget,
                    help="most assignments to examine (default %(default)s); "
                    "a search that needs more stops and exits 3.  It counts "
                    "every assignment of the full enumeration, also those of a "
@@ -472,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "It bounds assignments only: the O(p^2) pair solutions of "
                    "each delta come first and are not bounded, so --modulus "
                    "1000003 runs until it is killed, whatever the budget")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
     p.add_argument("--require-delta-unit", action="store_true")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_search)

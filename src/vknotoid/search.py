@@ -212,13 +212,13 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         # diagonal candidates carry the omega that (1) gives them; cell 0
         # takes them all and fixes omega, the later diagonal cells keep only
         # the candidates with that omega, in the same order
-        diag_cands: list[int] = []
+        diag_cands: list[tuple[int, int]] = []      # (candidate, its omega)
         by_omega: dict[int, list[int]] = {}
         for k, sol in sols.items():
             w = (delta * sol[0] + sol[1] + sol[2]) % p
             if math.gcd(w, p) == 1 and not any(
                     r % p for r in diagonal_residuals(delta, w, *sol)):
-                diag_cands.append(k)
+                diag_cands.append((k, w))
                 by_omega.setdefault(w, []).append(k)
         verdicts = triple_verdicts(p, delta)
         rows = _Rows(sols, shared)
@@ -235,9 +235,8 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
 
         # a walked cell-0 candidate -> (its nodes, its completed assignments)
         walked: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
-        for cand in diag_cands:
+        for cand, omega in diag_cands:
             a, b, v = sols[cand][:3]
-            omega = (delta * a + b + v) % p
             # cell 0's candidates ascend with their keys, so the first member
             # of cand's unit-scaling orbit is its least key; cand = lam * first
             first, lam = min((pack_abv(p, mu * a, mu * b, mu * v),

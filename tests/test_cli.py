@@ -13,10 +13,12 @@ from pathlib import Path
 import pytest
 
 from vknotoid import bracket, cli
-from vknotoid.biquandle import (FiniteBiquandle, render_operation_matrix,
+from vknotoid.biquandle import (FiniteBiquandle, parse_operation_matrix,
+                                render_operation_matrix,
                                 verify_biquandle_axioms)
-from vknotoid.bracket import (fundamental_bracket, render_bracket,
-                              symbolic_terms)
+from vknotoid.bracket import (fundamental_bracket, parse_bracket,
+                              render_bracket, symbolic_terms,
+                              verify_bracket_axioms)
 from vknotoid.cli import build_parser, main
 from vknotoid.data import data_dir, corpus_dir
 from vknotoid.diagram import parse_diagram
@@ -832,6 +834,40 @@ def test_search_checks_the_biquandle(tmp_path, capsys):
     assert out == ""                         # no "solutions" printed
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: biquandle fails axioms")
+
+
+# a 2-element table failing 5 axiom instances, and a bracket satisfying all
+# 23 equation families over it
+TWO_CONSTANTS = "2\n1 1 1 1\n1 1 1 1\n"
+BRACKET_OVER_TWO_CONSTANTS = "2 3\n" + "0 0 0 0 1 1 0 0 0 0 1 1\n" * 2 \
+    + "delta 2 omega 1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["invariants", corpus_dir() / "2.1.1.knd"],
+    ["corpus", "--dir", corpus_dir()],
+    ["selftest", corpus_dir() / "2.1.1.knd"],
+    ["search", "--modulus", "3"],
+    ["bracket", "check", "nb.bvb"],
+], ids=lambda command: command[0])
+def test_every_command_reading_a_table_checks_its_axioms(
+        tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    Path("nb.biq").write_text(TWO_CONSTANTS)
+    Path("nb.bvb").write_text(BRACKET_OVER_TWO_CONSTANTS)
+    x = parse_operation_matrix(TWO_CONSTANTS)
+    assert verify_bracket_axioms(
+        parse_bracket(BRACKET_OVER_TWO_CONSTANTS, x)).passed
+    assert run(command + ["--biquandle", "nb.biq"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: biquandle fails axioms: 5 violations, first " \
+        "under-column at (1,) (vknotoid biquandle check lists them)\n"
+    assert "ok:" not in out
+    # the one command that reads the table unchecked lists the violations
+    assert run(["biquandle", "check", "nb.biq"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert all(line.startswith("violation: axiom ") for line in lines)
 
 
 def test_unwritable_output_paths(tmp_path, capsys):

@@ -19,9 +19,12 @@ from vknotoid.bracket import (VirtualBracket, diagonal_residuals, evaluate,
                               triple_slots, verify_bracket_axioms)
 from vknotoid.coloring import enumerate_colorings
 from vknotoid.data import load_biquandle
+from vknotoid.diagram import insert_move
 from vknotoid.ring import Modulus
 from vknotoid.search import (SearchConfig, SearchResult, brute_force_singleton,
                              pair_solutions, search_brackets, solve_pair)
+
+from test_state_sum import random_codes
 
 
 def test_solve_pair_examples():
@@ -260,6 +263,36 @@ def test_the_endpoint_gauge_scales_each_value_by_its_endpoints(
                     * h[f[0]] * pow(h[f[-1]], -1, m) % m
     assert (len(brackets), colorings) == (90, 9360)
     assert changed > len(brackets) // 2
+
+
+def test_the_endpoint_gauge_scales_the_values_of_seeded_codes(
+        z5_bracket, reference_search, z3_coloring_brackets):
+    # the same law on 6 seeded codes with 2 virtual crossings, each also
+    # with an R1 kink inserted at a seeded gap.  Over z3_coloring 30 of
+    # their 42 colorings end at a head color other than their tail's (none
+    # does over z3_involution), and 560 of the 3,480 values checked scale
+    # by an h(tail) / h(head) other than 1
+    rng = random.Random(10)
+    codes = []
+    for d in random_codes(31, range(2, 8)):
+        codes += [d, insert_move(d, "R1", rng.randint(0, len(d.passes)),
+                                 sign=rng.choice((1, -1)),
+                                 over_first=rng.choice((True, False)))]
+    rng = random.Random(9)
+    brackets = ([z5_bracket] + reference_search.brackets[::400]
+                + z3_coloring_brackets)
+    colorings = scaled = 0
+    for br in brackets:
+        x, m = br.biquandle, br.modulus.m
+        h = [rng.randrange(1, m) for _ in range(x.n)]
+        image = gauge(br, h)
+        for d in codes:
+            for f in enumerate_colorings(d, x):
+                colorings += 1
+                by = h[f[0]] * pow(h[f[-1]], -1, m) % m
+                scaled += by != 1
+                assert evaluate(d, f, image) == evaluate(d, f, br) * by % m
+    assert (len(brackets), colorings, scaled) == (90, 3480, 560)
 
 
 def test_unit_scaling_keeps_every_invariant(corpus, z3_involution, z5_bracket):
