@@ -28,3 +28,10 @@ def read_input(path) -> str:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def content_lines(text: str) -> list[str]:
+    """The lines of an input file's text, stripped, without the blank ones
+    and the ``#`` comments."""
+    return [ln for ln in (s.strip() for s in text.splitlines())
+            if ln and not ln.startswith("#")]

@@ -24,7 +24,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
+from ._reader import content_lines
 from .ring import Modulus, NotAUnit
 
 Table = tuple[tuple[int, ...], ...]
@@ -141,8 +143,7 @@ def parse_operation_matrix(text: str) -> FiniteBiquandle:
     again parses it once; the biquandle is immutable, so every caller may
     share it.  The memo holds 8 tables, about 0.4 MB each at n = 37.
     """
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ShapeError("empty operation matrix")
     try:
@@ -207,20 +208,33 @@ def alexander_biquandle(modulus: int, t: int, r: int,
     return FiniteBiquandle(under, over)
 
 
-@lru_cache(maxsize=8)
 def verify_biquandle_axioms(x: FiniteBiquandle) -> AxiomReport:
-    """Exhaustive check of the three axioms (O(n^3); n is small here).
+    """Every violation of :func:`axiom_violations`: up to 3n^3 + 3n + 1, 19
+    MB for a random n = 37 table, so unlike :func:`axiom_verdict` it is not
+    memoized."""
+    return AxiomReport(tuple(axiom_violations(x)))
 
-    Memoized on the biquandle's value, 8 reports.  A passing report is
-    small; a failing one lists up to 3n^3 + 3n + 1 violations, about 19 MB
-    for a random n = 37 table."""
+
+@lru_cache(maxsize=8)
+def axiom_verdict(x: FiniteBiquandle) -> tuple[int, tuple | None]:
+    """The number of axiom violations and the first, or (0, None): what the
+    command line gate reads.  Counted as they are found, none held, and
+    memoized on the biquandle's value, 8 verdicts."""
+    violations = axiom_violations(x)
+    first = next(violations, None)
+    return (first is not None) + sum(1 for _ in violations), first
+
+
+def axiom_violations(x: FiniteBiquandle) -> Iterator[tuple[str, tuple]]:
+    """The violations of the three axioms, one at a time, in report order,
+    by an exhaustive O(n^3) check: each an axiom's name and its 1-based
+    witness."""
     n = x.n
     under, over = x.under_table, x.over_table
-    bad: list[tuple[str, tuple]] = []
 
     for a in range(n):
         if under[a][a] != over[a][a]:
-            bad.append(("diagonal", (a + 1,)))
+            yield "diagonal", (a + 1,)
     # S and the column maps are inverted once, by _solve_tables: a map is a
     # bijection iff its inverse table exists, and the columns are walked only
     # to name those of a missing table; under_cols[y][a] = a under y
@@ -230,19 +244,18 @@ def verify_biquandle_axioms(x: FiniteBiquandle) -> AxiomReport:
         elements = list(range(n))
         for y in range(n):
             if not under_ok and sorted(under_cols[y]) != elements:
-                bad.append(("under-column", (y + 1,)))
+                yield "under-column", (y + 1,)
             if not over_ok and sorted(over_cols[y]) != elements:
-                bad.append(("over-column", (y + 1,)))
+                yield "over-column", (y + 1,)
     if x._solvers[1] is None:
-        bad.append(("sideways", ()))
+        yield "sideways", ()
     for a, b, c in itertools.product(range(n), repeat=3):
         if under[under[a][b]][under[c][b]] != under[under[a][c]][over[b][c]]:
-            bad.append(("exchange-uu", (a + 1, b + 1, c + 1)))
+            yield "exchange-uu", (a + 1, b + 1, c + 1)
         if over[under[a][b]][under[c][b]] != under[over[a][c]][over[b][c]]:
-            bad.append(("exchange-uo", (a + 1, b + 1, c + 1)))
+            yield "exchange-uo", (a + 1, b + 1, c + 1)
         if over[over[a][b]][over[c][b]] != over[over[a][c]][under[b][c]]:
-            bad.append(("exchange-oo", (a + 1, b + 1, c + 1)))
-    return AxiomReport(tuple(bad))
+            yield "exchange-oo", (a + 1, b + 1, c + 1)
 
 
 # -- automorphisms -------------------------------------------------------------

@@ -28,12 +28,12 @@ read these, and :func:`triple_cells` turns the placement into flat cell
 indices once per biquandle for both.  Which families fail at one row or
 triple instance is a pure function of m, delta and the coefficients it
 reads, so :func:`verify_bracket_axioms` memoizes the failing family names
-on exactly those values in two bounded memos: one per coefficient row, so a
-bracket costs n row lookups, and one per triple instance, keyed on six
-cells packed by :func:`pack_abv`, which the search reads too
-(:func:`triple_verdicts`).  A bracket gets the same report whatever was
-checked before it, and an instance, clean or dirty, is evaluated once while
-its entry is held.
+on exactly those values in two bounded memos of one dict per (m, delta):
+one per coefficient row, so a bracket costs n row lookups, and one per
+triple instance, keyed on six cells packed by :func:`pack_abv`, which the
+search reads too (:func:`triple_verdicts`).  A bracket gets the same report
+whatever was checked before it, and an instance, clean or dirty, is
+evaluated once while its entry is held.
 
 Evaluation is compiled once per diagram into a frontier sweep (see
 :func:`_plan`): the crossings are swept one at a time, and a state records
@@ -61,8 +61,10 @@ from functools import cache, cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
+from ._reader import content_lines
 from .biquandle import AxiomReport, FiniteBiquandle
-from .coloring import _PLANS, cached_plan, counting_matrix, iter_colorings
+from .coloring import (_PLANS, _store, cached_plan, counting_matrix,
+                       iter_colorings)
 from .diagram import KnotoidDiagram, writhe
 from .ring import BracketPolynomial, Modulus, NotAUnit
 
@@ -139,8 +141,7 @@ def parse_bracket(text: str, biquandle: FiniteBiquandle) -> VirtualBracket:
     a bracket again parses it and builds its weights once; the bracket is
     immutable, so every caller may share it.  The memo holds 32 brackets,
     about 0.5 MB each at n = 37 with their weights."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if len(lines) < 2:
         raise BracketError("truncated bracket file")
     head = lines[0].split()
@@ -286,59 +287,30 @@ def triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...], ...],
     return cells, itemgetter(*itertools.chain.from_iterable(cells))
 
 
-# Each memo holds at most _MEMO_SIZE entries, read at call time.  The
+# A verifier memo holds at most 8 parts, one per (m, delta), of at most
+# _MEMO_SIZE entries each (read at call time): 8 * _MEMO_SIZE entries.  The
 # reference search's 19,456 brackets have 1,728 distinct rows (with their m,
-# delta and omega); its node checks and brackets read 9,882 distinct triple
-# instances, so the triple memo is emptied once during it.  Its node checks
-# read 105,947 instances: only the subtrees that it walks, not those that it
-# replays from a scaled copy (see search).
+# delta and omega); they and its node checks read 9,882 distinct triple
+# instances, at most 2,670 under one delta, so no part is emptied.  The node
+# checks read 105,947 instances: only the subtrees walked, not those replayed
+# from a scaled copy (see search).  The p = 7 search with that table and
+# seed reads 59,077 in 10^6 nodes, 15,786 under delta = 1: 21 emptyings.
 _MEMO_SIZE = 1 << 13
 
 
-class _Memo:
-    """A bounded memo of what ``fill(*params, key)`` returns, split into one
-    dict per parameter tuple (m, delta, ...), so that a lookup key holds only
-    the instance and ``map`` can look up many keys at once.  When it holds
-    _MEMO_SIZE entries in all, it is emptied before the next one is stored."""
+class _Verdicts(dict):
+    """One part of a verifier memo: ``fill(*params, key)`` per key, evaluated
+    on a miss and stored by the plan cache's rule, which empties the part
+    once it holds _MEMO_SIZE entries."""
 
-    def __init__(self, fill) -> None:
-        self.fill = fill
-        self.parts: dict[tuple, _MemoPart] = {}
-        self.size = 0
+    __slots__ = ("fill", "params")
 
-    def part(self, *params) -> _MemoPart:
-        part = self.parts.get(params)
-        if part is None:
-            part = self.parts[params] = _MemoPart(self, params)
-        return part
-
-    def clear(self) -> None:
-        for part in self.parts.values():
-            part.clear()
-        self.parts.clear()
-        self.size = 0
-
-
-class _MemoPart(dict):
-    """The entries of one :class:`_Memo` that share its parameters; a missing
-    key is evaluated once and stored.  A part that empties its memo stays in
-    it, so a caller may hold the part across the emptying."""
-
-    __slots__ = ("memo", "params")
-
-    def __init__(self, memo: _Memo, params: tuple) -> None:
+    def __init__(self, fill, *params) -> None:
         super().__init__()
-        self.memo, self.params = memo, params
+        self.fill, self.params = fill, params
 
     def __missing__(self, key):
-        memo = self.memo
-        value = memo.fill(*self.params, key)
-        if memo.size >= _MEMO_SIZE:
-            memo.clear()
-            memo.parts[self.params] = self
-        self[key] = value
-        memo.size += 1
-        return value
+        return _store(self, key, self.fill(*self.params, key), _MEMO_SIZE)
 
 
 def _triple_failures(m: int, delta: int,
@@ -350,12 +322,12 @@ def _triple_failures(m: int, delta: int,
     return tuple([key for key, val in zip(_TRIPLE_FAMILIES, vals) if val % m])
 
 
-def _row_failures(m: int, delta: int, omega: int, key: tuple) -> tuple:
-    """For ``key`` = (a, the six coefficient rows A[a], ..., U[a]): the
-    failures of (1)-(2) at (a, a) and of (3)-(8) at each (a, b), with their
-    1-based witnesses, and the row's (A, B, V) cells packed by
+def _row_failures(m: int, delta: int, key: tuple) -> tuple:
+    """For ``key`` = (omega, a, the six coefficient rows A[a], ..., U[a]):
+    the failures of (1)-(2) at (a, a) and of (3)-(8) at each (a, b), with
+    their 1-based witnesses, and the row's (A, B, V) cells packed by
     :func:`pack_abv`."""
-    a, rows = key
+    omega, a, rows = key
     cells = list(zip(*rows))                    # (A, B, V, C, D, U) at (a, b)
     vals = diagonal_residuals(delta, omega, *cells[a])
     diagonal = tuple([(k, (a + 1,)) for k, val in zip(("1", "2"), vals)
@@ -368,16 +340,19 @@ def _row_failures(m: int, delta: int, omega: int, key: tuple) -> tuple:
     return diagonal, failed, codes
 
 
-_TRIPLE_MEMO = _Memo(_triple_failures)
-_ROW_MEMO = _Memo(_row_failures)
-
-
-def triple_verdicts(m: int, delta: int) -> _MemoPart:
+@lru_cache(maxsize=8)
+def triple_verdicts(m: int, delta: int) -> _Verdicts:
     """The verifier's triple memo for m and delta: indexed by the six cells
     of a triple instance (:func:`triple_cells`) packed by :func:`pack_abv`,
-    it gives the families of (9)-(23) that fail there.  It stays valid when
-    the memo is emptied."""
-    return _TRIPLE_MEMO.part(m, delta)
+    it gives the families of (9)-(23) that fail there."""
+    return _Verdicts(_triple_failures, m, delta)
+
+
+@lru_cache(maxsize=8)
+def row_verdicts(m: int, delta: int) -> _Verdicts:
+    """The verifier's row memo for m and delta, indexed by (omega, a, the six
+    coefficient rows at a): see :func:`_row_failures`."""
+    return _Verdicts(_row_failures, m, delta)
 
 
 def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
@@ -385,15 +360,17 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     with a witness tuple of 1-based element indices, (1)-(2) first, then
     (3)-(8) by pair, then (9)-(23) by triple.
 
-    Two bounded memos hold what the verdicts read: per coefficient row, on
-    (m, delta, omega, a, the six rows at a), its failures of (1)-(8) and its
-    packed (A, B, V) cells; and per triple, on (m, delta, its six packed
-    cells), the failures of (9)-(23) (:func:`triple_verdicts`).  So a row or
-    a triple instance is evaluated at most once while its entry is held, and
-    the report is the same as without the memos."""
+    Two bounded memos, one dict per (m, delta) each, hold what the verdicts
+    read: per coefficient row, on (omega, a, the six rows at a), its
+    failures of (1)-(8) and its packed (A, B, V) cells
+    (:func:`row_verdicts`); and per triple, on its six packed cells, the
+    failures of (9)-(23) (:func:`triple_verdicts`).  So a row or a triple
+    instance is evaluated at most once while its entry is held, and the
+    report is the same as without the memos."""
     m, d = br.modulus.m, br.delta
-    rows = list(map(_ROW_MEMO.part(m, d, br.omega).__getitem__,
-                    enumerate(zip(br.A, br.B, br.V, br.C, br.D, br.U))))
+    rows = list(map(row_verdicts(m, d).__getitem__,
+                    zip(itertools.repeat(br.omega), itertools.count(),
+                        zip(br.A, br.B, br.V, br.C, br.D, br.U))))
     bad = [v for diagonal, _, _ in rows for v in diagonal]
     bad += [v for _, failed, _ in rows for v in failed]
     _, get = triple_cells(br.biquandle)

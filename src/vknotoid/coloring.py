@@ -52,13 +52,13 @@ Coloring = tuple[int, ...]
 # Keyed on the diagram's passes; ``bracket._PLANS`` is this dict, so
 # clearing either forgets every plan.
 _PLANS: dict[tuple, dict] = {}
-_PLAN_LIMIT = 64
+_PLAN_LIMIT = 65                    # items per dict of the plan cache
 _SKELETON = "solve skeleton"        # the key of a diagram's solve skeleton
 
 
-def _store(cache: dict, key, value):
-    """``cache[key] = value``, first emptying a cache over _PLAN_LIMIT items."""
-    if len(cache) > _PLAN_LIMIT:
+def _store(cache: dict, key, value, limit: int = _PLAN_LIMIT):
+    """``cache[key] = value``, first emptying a cache of ``limit`` items."""
+    if len(cache) >= limit:
         cache.clear()
     cache[key] = value
     return value

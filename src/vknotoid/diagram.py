@@ -31,6 +31,8 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+from ._reader import content_lines
+
 
 class DiagramError(Exception):
     """Base class for diagram failures."""
@@ -196,8 +198,7 @@ def parse_diagram(text: str, name: str = "") -> KnotoidDiagram:
     The memo holds 128 diagrams, twice the plan cache's bound; an entry
     takes about 20 times its text (5.6 KB at c = 30).
     """
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if any(ln.split()[0] in ("name", "code") for ln in lines):
         fields: dict[str, str] = {}
         for ln in lines:

@@ -19,15 +19,17 @@ limit bounds n.  A triple's equations (9)-(23) are checked once its six
 cells are assigned.  Those cells come from the verifier's table
 (:func:`~vknotoid.bracket.triple_cells`), and their six candidates are the
 verifier's key of that triple instance, so a check is a lookup in the
-verifier's triple memo (:func:`~vknotoid.bracket.triple_verdicts`): a
-non-empty verdict fails.  Every candidate that completes is passed to
+verifier's triple memo of (p, delta)
+(:func:`~vknotoid.bracket.triple_verdicts`): a non-empty verdict fails.
+Every candidate that completes is passed to
 :func:`~vknotoid.bracket.verify_bracket_axioms` before being reported, and
 finds its triple verdicts held.  So the search and the final check share
 one definition and one cache of what a bracket is: the reference search
-(``z3_involution``, p = 5, diagonal ansatz, seed 1) evaluates 10,294 triple
-instances, 9,882 of them distinct.  The verifier also memoizes whole
-coefficient rows, and the found brackets share their rows (below), so it
-looks up n rows per bracket, not n^2 pairs.
+(``z3_involution``, p = 5, diagonal ansatz, seed 1) evaluates each of its
+9,882 distinct triple instances once, 2,670, 1,504, 2,102, 2,102 and 1,504
+for delta = 0..4.  The verifier also memoizes whole coefficient rows, and
+the found brackets share their rows (below), so it looks up n rows per
+bracket, not n^2 pairs.
 
 Equations (1)-(23) are homogeneous, so unit scaling, lam * (A, B, V) with
 lam^-1 * (C, D, U) and lam * omega for lam in Z_p^*, maps the candidate

@@ -126,7 +126,8 @@ def test_violations_are_frozen(z5_bracket, z37_bracket):
 
 # -- the verifier's memo -------------------------------------------------------------
 
-VERIFIER_MEMOS = (bracket._ROW_MEMO, bracket._TRIPLE_MEMO)
+# the factories of the verifier's memos, one dict per (m, delta) each
+VERIFIER_MEMOS = (bracket.row_verdicts, bracket.triple_verdicts)
 
 
 def plain_report(br):
@@ -155,7 +156,7 @@ def plain_report(br):
 
 def clear_verifier_memo():
     for memo in VERIFIER_MEMOS:
-        memo.clear()
+        memo.cache_clear()
 
 
 def families(report, arity):
@@ -245,12 +246,15 @@ def test_verifier_evaluates_each_instance_once(monkeypatch, z5_bracket):
         rows[args] += 1
         return row_failures(*args)
 
-    row_failures = bracket._ROW_MEMO.fill
-    monkeypatch.setattr(bracket, "triple_residuals", count_triple)
-    monkeypatch.setattr(bracket, "pair_residuals", count_pair)
-    monkeypatch.setattr(bracket._ROW_MEMO, "fill", count_row)
     tables = [z5_bracket, *single_entry_mutations(z5_bracket, 60, seed=2)]
     clear_verifier_memo()
+    # every table reads the one row memo of its (m, delta)
+    assert {(br.modulus.m, br.delta) for br in tables} == {(5, z5_bracket.delta)}
+    row_memo = bracket.row_verdicts(5, z5_bracket.delta)
+    row_failures = row_memo.fill
+    monkeypatch.setattr(bracket, "triple_residuals", count_triple)
+    monkeypatch.setattr(bracket, "pair_residuals", count_pair)
+    monkeypatch.setattr(row_memo, "fill", count_row)
     reports = [verify_bracket_axioms(br) for br in tables]
     assert sum(not r.passed for r in reports) > 20
     assert max(triples.values()) == max(rows.values()) == 1
@@ -310,48 +314,48 @@ def test_verifier_memo_keys_rows_on_their_values(monkeypatch, z3_full_search):
         assert not calls
 
 
-def memo_entries(memo):
-    return sum(map(len, memo.parts.values()))
-
-
 def test_verifier_memos_stay_bounded(monkeypatch, z3_involution, z5_bracket,
                                      z3_full_search):
-    # with a bound far below the distinct instances, every memo overflows
-    # and is emptied again, yet holds at most the bound and changes no
-    # report; a search filling the triple memo is held to the bound too
+    # with a bound far below the distinct instances, a part of each memo
+    # overflows and is emptied again, yet every part holds at most the bound
+    # after each store and no report changes; a search filling the triple
+    # memo is held to the bound too.  Brackets over 11 (m, delta) pass
+    # through, and each memo keeps at most 8 parts
     bound = 16
     monkeypatch.setattr(bracket, "_MEMO_SIZE", bound)
-    held = dict.fromkeys(VERIFIER_MEMOS, 0)
     emptied = set()
+    store = bracket._store
 
-    def check_bounds():
+    def bounded_store(part, key, value, limit):
+        assert limit == bound and len(part) <= bound
+        if len(part) == bound:
+            emptied.add(part.fill.__name__)
+        stored = store(part, key, value, limit)
+        assert len(part) <= bound
+        return stored
+
+    def check_registries():
         for memo in VERIFIER_MEMOS:
-            entries = memo_entries(memo)
-            assert entries == memo.size <= bound
-            assert len(memo.parts) <= bound
-            if entries < held[memo]:
-                emptied.add(memo)
-            held[memo] = entries
+            assert memo.cache_info().currsize <= 8
 
-    def bounded_verify(br):
-        check_bounds()
-        return verify_bracket_axioms(br)
-
+    monkeypatch.setattr(bracket, "_store", bounded_store)
     tables = [*z3_full_search, z5_bracket,
-              *single_entry_mutations(z5_bracket, 100, seed=3)]
+              *single_entry_mutations(z5_bracket, 100, seed=3),
+              *(constant_bracket(z3_involution, 7, delta, 3)
+                for delta in range(7))]
+    assert len({(br.modulus.m, br.delta) for br in tables}) == 11
     clear_verifier_memo()
     for br in tables:
         assert verify_bracket_axioms(br) == plain_report(br)
-        check_bounds()
-    assert emptied == set(VERIFIER_MEMOS)
+        check_registries()
+    assert emptied == {"_row_failures", "_triple_failures"}
+    assert all(memo.cache_info().misses >= 11 for memo in VERIFIER_MEMOS)
     emptied.clear()
-    with monkeypatch.context() as patch:
-        patch.setattr(search, "verify_bracket_axioms", bounded_verify)
-        result = search_brackets(z3_involution,
-                                 SearchConfig(3, "diagonal", seed=42))
-    check_bounds()
+    result = search_brackets(z3_involution,
+                             SearchConfig(3, "diagonal", seed=42))
+    check_registries()
     assert (len(result.brackets), result.nodes) == (288, 1466)
-    assert bracket._TRIPLE_MEMO in emptied
+    assert "_triple_failures" in emptied
 
 
 def test_reports_do_not_depend_on_who_filled_the_memo(z3_involution):
@@ -360,8 +364,8 @@ def test_reports_do_not_depend_on_who_filled_the_memo(z3_involution):
     clear_verifier_memo()
     found = search_brackets(z3_involution,
                             SearchConfig(3, "diagonal", seed=42)).brackets
-    assert any(any(part.values())
-               for part in bracket._TRIPLE_MEMO.parts.values())
+    assert any(any(bracket.triple_verdicts(3, delta).values())
+               for delta in range(3))
     tables = [mutated for k, br in enumerate(found[::24])
               for mutated in single_entry_mutations(br, 10, seed=k)]
     reports = [verify_bracket_axioms(br) for br in tables]

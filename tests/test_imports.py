@@ -1,6 +1,7 @@
 """Import hygiene of the package, read from the source with :mod:`ast`: no
 module keeps an import it does not use, and the Gauss-code layer,
-``diagram.py``, stands on no other vknotoid module."""
+``diagram.py``, stands on no other vknotoid module but the input reader,
+``_reader.py``, which stands on none."""
 
 import ast
 from pathlib import Path
@@ -49,11 +50,13 @@ def test_every_import_is_used():
 
 
 def test_diagram_imports_no_other_vknotoid_module():
-    (tree,) = [tree for name, tree in modules() if name == "diagram.py"]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            assert node.level == 0 and \
-                not (node.module or "").startswith("vknotoid"), node.module
-        elif isinstance(node, ast.Import):
-            assert not any(alias.name.split(".")[0] == "vknotoid"
-                           for alias in node.names)
+    trees = dict(modules())
+    for name, allowed in (("diagram.py", {"_reader"}), ("_reader.py", set())):
+        for node in ast.walk(trees[name]):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and \
+                    not (node.module or "").startswith("vknotoid") \
+                    or node.level == 1 and node.module in allowed, node.module
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.split(".")[0] == "vknotoid"
+                               for alias in node.names)

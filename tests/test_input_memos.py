@@ -1,7 +1,8 @@
 """The input memos: ``parse_diagram``, ``parse_operation_matrix``,
-``verify_biquandle_axioms`` and ``parse_bracket`` each pay once per distinct
-input in a process.  A memoized result equals a fresh parse, a changed file
-is parsed again, a failure is not remembered, and every memo is bounded.
+``axiom_verdict`` and ``parse_bracket`` each pay once per distinct input in
+a process.  A memoized result equals a fresh parse, a changed file is parsed
+again, a failure is not remembered, and every memo, the factories of the
+bracket verifier's memos too, is bounded.
 
 The tests need no pytest fixture but ``tmp_path``, so that they also run
 under an interpreter without pytest."""
@@ -11,8 +12,9 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from vknotoid.biquandle import parse_operation_matrix, verify_biquandle_axioms
-from vknotoid.bracket import invariants, parse_bracket
+from vknotoid.biquandle import axiom_verdict, parse_operation_matrix
+from vknotoid.bracket import (invariants, parse_bracket, row_verdicts,
+                              triple_verdicts)
 from vknotoid.cli import main
 from vknotoid.data import corpus_dir, data_dir
 from vknotoid.diagram import parse_diagram
@@ -22,8 +24,8 @@ BIQ = data_dir() / "biquandles"
 BRK = data_dir() / "brackets"
 # the biquandle of each bundled bracket
 BRACKET_BIQUANDLE = {"z5_involution": "z3_involution", "z37_shift": "z3_shift"}
-MEMOS = (parse_diagram, parse_operation_matrix, verify_biquandle_axioms,
-         parse_bracket)
+MEMOS = (parse_diagram, parse_operation_matrix, axiom_verdict, parse_bracket,
+         triple_verdicts, row_verdicts)
 
 
 def run(args) -> tuple[int, str, str]:
@@ -34,13 +36,13 @@ def run(args) -> tuple[int, str, str]:
 
 
 def parse_all() -> dict:
-    """Every bundled table, its axiom report, bracket and corpus diagram,
+    """Every bundled table, its axiom verdict, bracket and corpus diagram,
     parsed through the memos."""
     got = {}
     for path in sorted(BIQ.glob("*.biq")):
         x = parse_operation_matrix(path.read_text(encoding="utf-8"))
         got[path.name] = x
-        got[path.name, "axioms"] = verify_biquandle_axioms(x)
+        got[path.name, "axioms"] = axiom_verdict(x)
     for path in sorted(BRK.glob("*.bvb")):
         x = got[BRACKET_BIQUANDLE[path.stem] + ".biq"]
         got[path.name] = parse_bracket(path.read_text(encoding="utf-8"), x)
@@ -58,7 +60,7 @@ def test_memoized_parses_equal_fresh_ones():
     for memo in MEMOS:
         memo.cache_clear()
     fresh = parse_all()
-    assert len(fresh) == 4 * 2 + 2 + 32        # tables and reports, brackets, diagrams
+    assert len(fresh) == 4 * 2 + 2 + 32        # tables and verdicts, brackets, diagrams
     for key, value in warm.items():
         assert fresh[key] == value
         assert fresh[key] is not value

@@ -138,18 +138,18 @@ def test_the_interned_rows_and_tables_go_with_the_result(z3_involution,
     # the result is dropped and the verifier's memos cleared, traced memory
     # is back at its level before the search
     verify_bracket_axioms(z5_bracket)       # caches the biquandle's slot table
-    memos = (bracket._ROW_MEMO, bracket._TRIPLE_MEMO)
+    memos = (bracket.row_verdicts, bracket.triple_verdicts)
     tracemalloc.start()
     try:
         for memo in memos:
-            memo.clear()
+            memo.cache_clear()
         before = _traced_after_collection()
         result = search_brackets(z3_involution,
                                  SearchConfig(3, "full", seed=2))
         held = _traced_after_collection() - before
         del result
         for memo in memos:
-            memo.clear()
+            memo.cache_clear()
         left = _traced_after_collection() - before
     finally:
         tracemalloc.stop()
@@ -221,6 +221,30 @@ def test_the_reference_search_replays_scaled_subtrees(monkeypatch,
     result = search_brackets(z3_involution, REFERENCE)
     assert (result.nodes, len(result.brackets)) == (123_716, 19_456)
     assert lookups == 105_947
+
+
+def test_a_cold_reference_search_evaluates_each_triple_instance_once(
+        monkeypatch, z3_involution):
+    # the node checks and the final verification read one triple memo per
+    # (p, delta), and none of them is emptied: each of the 9,882 distinct
+    # instances is evaluated once
+    evaluated = Counter()
+    triple_failures = bracket._triple_failures
+
+    def counting(m, delta, codes):
+        evaluated[delta] += 1
+        return triple_failures(m, delta, codes)
+
+    monkeypatch.setattr(bracket, "_triple_failures", counting)
+    bracket.triple_verdicts.cache_clear()
+    result = search_brackets(z3_involution, REFERENCE)
+    assert (result.nodes, len(result.brackets)) == (123_716, 19_456)
+    split = [2670, 1504, 2102, 2102, 1504]
+    assert [evaluated[delta] for delta in range(5)] == split
+    assert sum(split) == 9882
+    assert [len(bracket.triple_verdicts(5, delta)) for delta in range(5)] \
+        == split
+    bracket.triple_verdicts.cache_clear()       # parts that count
 
 
 def gauge(br, h):
@@ -393,7 +417,7 @@ def test_reverification_evaluates_each_distinct_triple_once(monkeypatch,
         return triple_residuals(delta, *cells)
 
     monkeypatch.setattr(bracket, "triple_residuals", counting)
-    bracket._TRIPLE_MEMO.clear()
+    bracket.triple_verdicts.cache_clear()
     assert all(verify_bracket_axioms(br).passed for br in brackets)
     assert set(calls) == distinct
     assert max(calls.values()) == 1
