@@ -27,13 +27,17 @@ and :func:`triple_residuals` their terms; the verifier and the search both
 read these, and :func:`triple_cells` turns the placement into flat cell
 indices once per biquandle for both.  Which families fail at one row or
 triple instance is a pure function of m, delta and the coefficients it
-reads, so :func:`verify_bracket_axioms` memoizes the failing family names
-on exactly those values in two bounded memos of one dict per (m, delta):
-one per coefficient row, so a bracket costs n row lookups, and one per
-triple instance, keyed on six cells packed by :func:`pack_abv`, which the
-search reads too (:func:`triple_verdicts`).  A bracket gets the same report
+reads, so the verifier memoizes the failing family names on exactly those
+values in two bounded memos of one dict per (m, delta): one per
+coefficient row, so a bracket costs n row lookups, and one per triple
+instance, keyed on six cells packed by :func:`pack_abv`, which the search
+reads too (:func:`triple_verdicts`).  A bracket gets the same report
 whatever was checked before it, and an instance, clean or dirty, is
-evaluated once while its entry is held.
+evaluated once while its entry is held.  The verifier is one pass over a
+list of brackets that share their biquandle, m and delta
+(:func:`verify_brackets`): the search verifies the brackets of each
+subtree it walks or replays in one call, and
+:func:`verify_bracket_axioms` is the one-bracket case.
 
 Evaluation is compiled once per diagram into a frontier sweep (see
 :func:`_plan`): the crossings are swept one at a time, and a state records
@@ -82,7 +86,7 @@ class ColoringMismatch(BracketError):
     """The supplied coloring violates a crossing relation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VirtualBracket:
     biquandle: FiniteBiquandle
     modulus: Modulus
@@ -95,9 +99,11 @@ class VirtualBracket:
     delta: int
     omega: int
 
-    def __post_init__(self) -> None:
-        n = self.biquandle.n
-        tables = (self.A, self.B, self.V, self.C, self.D, self.U)
+    def __init__(self, biquandle: FiniteBiquandle, modulus: Modulus, A: Table,
+                 B: Table, V: Table, C: Table, D: Table, U: Table, delta: int,
+                 omega: int) -> None:
+        n, m = biquandle.n, modulus.m
+        tables = (A, B, V, C, D, U)
         # one pass over the lengths of the six tables and all their rows; the
         # per-table loop only names the first bad table
         lengths = list(map(len, itertools.chain(tables, *tables)))
@@ -105,11 +111,22 @@ class VirtualBracket:
             for name, tbl in zip("ABVCDU", tables):
                 if len(tbl) != n or any(len(r) != n for r in tbl):
                     raise BracketError("table %s is not %dx%d" % (name, n, n))
-        if math.gcd(self.omega, self.modulus.m) != 1:
-            raise NotAUnit("omega=%d is not a unit mod %d"
-                           % (self.omega, self.modulus.m))
-        object.__setattr__(self, "delta", self.delta % self.modulus.m)
-        object.__setattr__(self, "omega", self.omega % self.modulus.m)
+        if math.gcd(omega, m) != 1:
+            raise NotAUnit("omega=%d is not a unit mod %d" % (omega, m))
+        # the instance is frozen: each field is written once, delta and
+        # omega reduced mod m, in field order, which keeps the instances'
+        # attributes in one shared-key layout (a dict update would not)
+        write = object.__setattr__
+        write(self, "biquandle", biquandle)
+        write(self, "modulus", modulus)
+        write(self, "A", A)
+        write(self, "B", B)
+        write(self, "V", V)
+        write(self, "C", C)
+        write(self, "D", D)
+        write(self, "U", U)
+        write(self, "delta", delta % m)
+        write(self, "omega", omega % m)
 
     def table(self, letter: str) -> Table:
         return getattr(self, letter)
@@ -288,14 +305,16 @@ def triple_cells(x: FiniteBiquandle) -> tuple[tuple[tuple[int, ...], ...],
 
 
 # A verifier memo holds at most 8 parts, one per (m, delta), of at most
-# _MEMO_SIZE entries each (read at call time): 8 * _MEMO_SIZE entries.  The
-# reference search's 19,456 brackets have 1,728 distinct rows (with their m,
-# delta and omega); they and its node checks read 9,882 distinct triple
-# instances, at most 2,670 under one delta, so no part is emptied.  The node
-# checks read 105,947 instances: only the subtrees walked, not those replayed
-# from a scaled copy (see search).  The p = 7 search with that table and
-# seed reads 59,077 in 10^6 nodes, 15,786 under delta = 1: 21 emptyings.
-_MEMO_SIZE = 1 << 13
+# _MEMO_SIZE entries each (read at call time): at worst 8 parts * 16,384
+# entries per memo.  The reference search's 19,456 brackets have 1,728
+# distinct rows (with their m, delta and omega); they and its node checks
+# read 9,882 distinct triple instances, at most 2,670 under one delta.  The
+# node checks read 105,947 instances: only the subtrees walked, not those
+# replayed from a scaled copy (see search).  The p = 7 search with that table
+# and seed reads 59,077 distinct instances in 10^6 nodes, at most 15,786
+# under one delta, so no part is emptied and each is evaluated once (194,280
+# evaluations when a part held 8,192).
+_MEMO_SIZE = 1 << 14
 
 
 class _Verdicts(dict):
@@ -355,10 +374,73 @@ def row_verdicts(m: int, delta: int) -> _Verdicts:
     return _Verdicts(_row_failures, m, delta)
 
 
+_PASSED = AxiomReport(())          # the report of every passing bracket
+# a bracket's biquandle, modulus and delta: what a batch shares
+_SHARED = operator.attrgetter("biquandle", "modulus.m", "delta")
+
+
+def verify_brackets(brackets: list[VirtualBracket]) -> list[AxiomReport]:
+    """The report of each bracket in ``brackets``, in order, as
+    :func:`verify_bracket_axioms` gives it; the brackets must share their
+    biquandle, modulus and delta (BracketError otherwise).
+
+    One pass serves the whole list: its coefficient rows go through the row
+    memo of (m, delta) in one ``map``, every bracket's triple keys are
+    gathered by the getter of :func:`triple_cells` into one chain, and all
+    of them go through the triple memo in one ``map``.  A passing bracket
+    gets the one shared empty report; lists are built only for a bracket
+    that fails."""
+    if not brackets:
+        return []
+    x, m, d = _SHARED(brackets[0])
+    if any(map((x, m, d).__ne__, map(_SHARED, brackets))):
+        raise BracketError("a batch of brackets must share their biquandle,"
+                           " modulus and delta")
+    n = x.n
+    # each row's key: (omega, a, the six coefficient rows at a)
+    keys = itertools.chain.from_iterable(
+        zip(itertools.repeat(br.omega), itertools.count(),
+            zip(br.A, br.B, br.V, br.C, br.D, br.U)) for br in brackets)
+    rows = list(map(row_verdicts(m, d).__getitem__, keys))
+    # per bracket, the packed (A, B, V) cells of its n rows in turn, read
+    # by the slot table into the six cells of each triple
+    _, get = triple_cells(x)
+    flat = itertools.chain.from_iterable(map(get, (
+        [code for _, _, codes in rows[k:k + n] for code in codes]
+        for k in range(0, len(rows), n))))
+    # cut into one key of six packed cells per triple
+    failed = list(map(triple_verdicts(m, d).__getitem__,
+                      zip(*[flat] * 6)))
+    if _clean(rows, failed):
+        return [_PASSED] * len(brackets)
+    n3 = n ** 3
+    return [_report(n, rows[k * n:k * n + n], failed[k * n3:k * n3 + n3])
+            for k in range(len(brackets))]
+
+
+def _clean(rows: list[tuple], failed: list[tuple]) -> bool:
+    """Whether row verdicts and triple verdicts name no failing family."""
+    return not (any(failed) or any(map(itemgetter(0), rows))
+                or any(map(itemgetter(1), rows)))
+
+
+def _report(n: int, rows: list[tuple], failed: list[tuple]) -> AxiomReport:
+    """One bracket's report from its n row verdicts and its n^3 triple
+    verdicts, in triple order."""
+    if _clean(rows, failed):
+        return _PASSED
+    bad = [v for diagonal, _, _ in rows for v in diagonal]
+    bad += [v for _, pairs, _ in rows for v in pairs]
+    bad += [(key, (t // n // n + 1, t // n % n + 1, t % n + 1))
+            for t, keys in enumerate(failed) for key in keys]
+    return AxiomReport(tuple(bad))
+
+
 def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     """Check equation families (1)-(23); failures are reported per family
     with a witness tuple of 1-based element indices, (1)-(2) first, then
-    (3)-(8) by pair, then (9)-(23) by triple.
+    (3)-(8) by pair, then (9)-(23) by triple.  The one-bracket case of
+    :func:`verify_brackets`.
 
     Two bounded memos, one dict per (m, delta) each, hold what the verdicts
     read: per coefficient row, on (omega, a, the six rows at a), its
@@ -367,22 +449,7 @@ def verify_bracket_axioms(br: VirtualBracket) -> AxiomReport:
     failures of (9)-(23) (:func:`triple_verdicts`).  So a row or a triple
     instance is evaluated at most once while its entry is held, and the
     report is the same as without the memos."""
-    m, d = br.modulus.m, br.delta
-    rows = list(map(row_verdicts(m, d).__getitem__,
-                    zip(itertools.repeat(br.omega), itertools.count(),
-                        zip(br.A, br.B, br.V, br.C, br.D, br.U))))
-    bad = [v for diagonal, _, _ in rows for v in diagonal]
-    bad += [v for _, failed, _ in rows for v in failed]
-    _, get = triple_cells(br.biquandle)
-    flat = get([code for _, _, codes in rows for code in codes])
-    # cut into one key of six packed cells per triple
-    failed = list(map(triple_verdicts(m, d).__getitem__,
-                      zip(*[iter(flat)] * 6)))
-    if any(failed):
-        n = br.biquandle.n
-        bad += [(key, (t // n // n + 1, t // n % n + 1, t % n + 1))
-                for t, keys in enumerate(failed) for key in keys]
-    return AxiomReport(tuple(bad))
+    return verify_brackets([br])[0]
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -21,13 +21,15 @@ cells are assigned.  Those cells come from the verifier's table
 verifier's key of that triple instance, so a check is a lookup in the
 verifier's triple memo of (p, delta)
 (:func:`~vknotoid.bracket.triple_verdicts`): a non-empty verdict fails.
-Every candidate that completes is passed to
-:func:`~vknotoid.bracket.verify_bracket_axioms` before being reported, and
-finds its triple verdicts held.  So the search and the final check share
-one definition and one cache of what a bracket is: the reference search
-(``z3_involution``, p = 5, diagonal ansatz, seed 1) evaluates each of its
-9,882 distinct triple instances once, 2,670, 1,504, 2,102, 2,102 and 1,504
-for delta = 0..4.  The verifier also memoizes whole coefficient rows, and
+Every candidate that completes is verified before being reported, and
+finds its triple verdicts held: the brackets of each walked cell-0
+subtree and of each replay (below) go to
+:func:`~vknotoid.bracket.verify_brackets` in one call, which reports them
+in order.  So the search and the final check share one definition and one
+cache of what a bracket is: the reference search (``z3_involution``,
+p = 5, diagonal ansatz, seed 1) evaluates each of its 9,882 distinct
+triple instances once, 2,670, 1,504, 2,102, 2,102 and 1,504 for
+delta = 0..4.  The verifier also memoizes whole coefficient rows, and
 the found brackets share their rows (below), so it looks up n rows per
 bracket, not n^2 pairs.
 
@@ -42,9 +44,10 @@ key.  The outer loop walks the subtree of each first member and keeps its
 node count and completed assignments; at a later member it counts those
 nodes and replays the lam-images of those assignments instead of walking.
 The walk would meet the images in the order of their candidates taken
-depth by depth, and they are sorted so.  A replayed assignment goes
-through the same leaf as a walked one: its rows and tables, the
-``VirtualBracket`` and :func:`~vknotoid.bracket.verify_bracket_axioms`.
+depth by depth, and they are sorted so.  Replayed assignments go through
+the same leaf as walked ones: their rows and tables, the
+``VirtualBracket`` and one :func:`~vknotoid.bracket.verify_brackets`
+call, made from their own tables.
 The reference search walks 30,929 of its 123,716 nodes and replays
 92,787, and its node checks read 105,947 triple instances (423,788 when
 it walked every subtree).
@@ -58,12 +61,13 @@ the reference search's 19,456 brackets hold 116,736 tables and 350,208
 rows, of which 3,345 and 125 are distinct.
 
 A search makes at most ``budget`` assignments, and reports itself
-exhausted only when it needed more.  The budget counts the assignments of
-the full enumeration, walked or replayed, and a replay that would pass it
-is walked instead, so the nodes, the brackets and their order are those of
-a walk of every subtree at every budget.  It counts assignments only: the
-O(p^2) pair solutions of each delta are computed before its first node, so
-no budget bounds that work.
+exhausted only when it needed more; the assignments completed in the
+subtree it stops in are verified and reported first.  The budget counts
+the assignments of the full enumeration, walked or replayed, and a replay
+that would pass it is walked instead, so the nodes, the brackets and their
+order are those of a walk of every subtree at every budget.  It counts
+assignments only: the O(p^2) pair solutions of each delta are computed
+before its first node, so no budget bounds that work.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from operator import itemgetter
 from .biquandle import FiniteBiquandle
 from .bracket import (VirtualBracket, diagonal_residuals, pack_abv,
                       pair_residuals, triple_cells, triple_verdicts,
-                      verify_bracket_axioms)
+                      verify_bracket_axioms, verify_brackets)
 from .ring import Modulus
 
 
@@ -194,6 +198,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
     # found brackets share their rows and tables: each distinct row or table
     # value is one tuple, interned here for this call only
     shared: dict[tuple, tuple] = {}
+    intern = shared.setdefault
 
     deltas = list(range(p))
     rng.shuffle(deltas)
@@ -225,15 +230,18 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
         verdicts = triple_verdicts(p, delta)
         rows = _Rows(sols, shared)
 
-        def emit(assign, omega: int) -> None:
-            # each row's n candidates give its six coefficient rows: the tables
-            tables = tuple(zip(*map(rows.__getitem__,
-                                    zip(*[iter(assign)] * n))))
-            br = VirtualBracket(x, modulus,
-                                *map(shared.setdefault, tables, tables),
-                                delta, omega)
-            if verify_bracket_axioms(br).passed:
-                found.append(br)
+        def emit(done: list[tuple[int, ...]], omega: int) -> None:
+            # each row's n candidates give its six coefficient rows, and
+            # each assignment's n rows its six tables; the brackets are
+            # verified in one call
+            six_rows = map(rows.__getitem__,
+                           zip(*[itertools.chain.from_iterable(done)] * n))
+            tables = map(tuple, itertools.starmap(zip, zip(*[six_rows] * n)))
+            brackets = [VirtualBracket(x, modulus, *map(intern, t, t),
+                                       delta, omega) for t in tables]
+            found.extend([br for br, report in
+                          zip(brackets, verify_brackets(brackets))
+                          if report.passed])
 
         # a walked cell-0 candidate -> (its nodes, its completed assignments)
         walked: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
@@ -250,9 +258,8 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                 nodes += size
                 scale = {k: pack_abv(p, *[lam * e for e in sol[:3]])
                          for k, sol in sols.items()}
-                for image in sorted([tuple(map(scale.__getitem__, d))
-                                     for d in done], key=by_depth):
-                    emit(image, omega)
+                emit(sorted([tuple(map(scale.__getitem__, d))
+                             for d in done], key=by_depth), omega)
                 continue
             # walk: cands[depth] is the candidate list at order[depth], and
             # stack[depth] iterates what is left of it
@@ -266,6 +273,7 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                 checks = checks_at[depth]
                 for k in stack[-1]:
                     if nodes == cfg.budget:
+                        emit(done, omega)
                         return SearchResult(found, True, nodes)
                     nodes += 1
                     assign[cell] = k
@@ -277,9 +285,9 @@ def search_brackets(x: FiniteBiquandle, cfg: SearchConfig) -> SearchResult:
                             stack.append(iter(cands[depth + 1]))
                             break               # go on at the next cell
                         done.append(tuple(assign))
-                        emit(assign, omega)
                 else:
                     stack.pop()                 # back to the previous cell
+            emit(done, omega)
             walked[cand] = (nodes - start, done)
     return SearchResult(found, False, nodes)
 

@@ -18,7 +18,7 @@ from vknotoid.bracket import (BracketError, ColoringMismatch, State,
                               fundamental_bracket,
                               invariants, pair_residuals, parse_bracket, render_bracket,
                               symbolic_terms, triple_residuals, triple_slots,
-                              verify_bracket_axioms)
+                              verify_bracket_axioms, verify_brackets)
 from vknotoid.biquandle import (AxiomReport, FiniteBiquandle,
                                 alexander_biquandle, verify_biquandle_axioms)
 from vknotoid.coloring import enumerate_colorings
@@ -356,6 +356,27 @@ def test_verifier_memos_stay_bounded(monkeypatch, z3_involution, z5_bracket,
     check_registries()
     assert (len(result.brackets), result.nodes) == (288, 1466)
     assert "_triple_failures" in emptied
+
+
+def test_a_batch_shares_its_biquandle_modulus_and_delta(z5_bracket,
+                                                       z3_involution,
+                                                       z3_shift):
+    # a batch reads one row and one triple memo and one slot table, so a
+    # bracket over another biquandle, modulus or delta is refused wherever
+    # it stands; an equal biquandle that is another object is the same
+    others = [dataclasses.replace(z5_bracket, biquandle=z3_shift),
+              dataclasses.replace(z5_bracket, modulus=Modulus(7)),
+              dataclasses.replace(z5_bracket, delta=z5_bracket.delta + 1)]
+    for other in others:
+        for batch in ([z5_bracket, other], [other, z5_bracket, z5_bracket]):
+            with pytest.raises(BracketError, match="must share"):
+                verify_brackets(batch)
+    twin = dataclasses.replace(z5_bracket, biquandle=FiniteBiquandle(
+        z3_involution.under_table, z3_involution.over_table))
+    assert twin.biquandle is not z5_bracket.biquandle
+    assert verify_brackets([z5_bracket, twin]) \
+        == [verify_bracket_axioms(z5_bracket)] * 2
+    assert verify_brackets([]) == []
 
 
 def test_reports_do_not_depend_on_who_filled_the_memo(z3_involution):

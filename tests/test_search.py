@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -16,7 +17,8 @@ from vknotoid import bracket, search
 from vknotoid.biquandle import AxiomReport, FiniteBiquandle, alexander_biquandle
 from vknotoid.bracket import (VirtualBracket, diagonal_residuals, evaluate,
                               invariants, render_bracket, triple_residuals,
-                              triple_slots, verify_bracket_axioms)
+                              triple_slots, verify_bracket_axioms,
+                              verify_brackets)
 from vknotoid.coloring import enumerate_colorings
 from vknotoid.data import load_biquandle
 from vknotoid.diagram import insert_move
@@ -24,6 +26,7 @@ from vknotoid.ring import Modulus
 from vknotoid.search import (SearchConfig, SearchResult, brute_force_singleton,
                              pair_solutions, search_brackets, solve_pair)
 
+from test_bracket import constant_bracket, plain_report
 from test_state_sum import random_codes
 
 
@@ -372,26 +375,42 @@ def test_budget_boundary(p, nodes):
     assert short.exhausted and short.nodes == nodes - 1
 
 
+@pytest.mark.parametrize("budget, count", [(4873, 768), (7000, 1103),
+                                           (9746, 1536)])
+def test_a_budget_cut_returns_a_prefix_of_the_full_search(
+        reference_search, z3_involution, budget, count):
+    # the found brackets are verified once per walked subtree or replay; a
+    # cut at the end of the first walk, inside the walk of the second
+    # cell-0 candidate (its replay would pass the budget) and at that
+    # walk's end reports every bracket completed before it
+    cut = search_brackets(z3_involution, dataclasses.replace(REFERENCE,
+                                                             budget=budget))
+    assert (cut.nodes, cut.exhausted) == (budget, True)
+    assert [_key(br) for br in cut.brackets] \
+        == [_key(br) for br in reference_search.brackets[:count]]
+
+
 def test_every_found_bracket_passed_the_final_verification(monkeypatch,
                                                           z3_involution):
     # the search's own checks cover every family, so only counting or vetoing
-    # the final verify_bracket_axioms calls shows that they are made
+    # the final verify_brackets calls shows that they are made
     cfg = SearchConfig(3, "diagonal", seed=42)
     verified = []
 
-    def counting(br):
-        report = verify_bracket_axioms(br)
-        verified.append((br, report.passed))
-        return report
+    def counting(brackets):
+        reports = verify_brackets(brackets)
+        verified.extend((br, report.passed)
+                        for br, report in zip(brackets, reports))
+        return reports
 
-    monkeypatch.setattr(search, "verify_bracket_axioms", counting)
+    monkeypatch.setattr(search, "verify_brackets", counting)
     result = search_brackets(z3_involution, cfg)
     assert len(result.brackets) == 288
     assert len(verified) == 288
     assert all(found is br and passed
                for found, (br, passed) in zip(result.brackets, verified))
-    monkeypatch.setattr(search, "verify_bracket_axioms",
-                        lambda br: AxiomReport((("veto", ()),)))
+    monkeypatch.setattr(search, "verify_brackets", lambda brackets:
+                        [AxiomReport((("veto", ()),))] * len(brackets))
     assert search_brackets(z3_involution, cfg).brackets == []
 
 
@@ -466,6 +485,54 @@ def test_pair_solutions_keep_no_list_of_triples():
         tracemalloc.stop()
     assert len(sols) == 52
     assert peak - kept < 16_000
+
+
+def mutant(br, kind):
+    """``br``, a diagonal-ansatz bracket mod 5, changed so that it fails
+    only in (1)-(2) ("diagonal": omega doubled), only in (3)-(8) ("pair":
+    C + 1 at one off-diagonal pair, where V != 0 = A = B) or only in
+    (9)-(23) ("triple": V times 2 and U over 2 there, which keeps (3)-(8))."""
+    if kind == "diagonal":
+        return dataclasses.replace(br, omega=2 * br.omega)
+    scale = {"pair": {"C": lambda e: e + 1},
+             "triple": {"V": lambda e: 2 * e, "U": lambda e: 3 * e}}[kind]
+    return dataclasses.replace(br, **{
+        letter: tuple(tuple(change(e) % 5 if (i, j) == (0, 1) else e
+                            for j, e in enumerate(row))
+                      for i, row in enumerate(br.table(letter)))
+        for letter, change in scale.items()})
+
+
+def test_batched_reports_equal_the_one_bracket_reports(reference_search,
+                                                       z3_shift, z37_bracket):
+    # reference brackets with mutants after them, and z37_shift with a valid
+    # bracket of its (biquandle, m, delta); a batch shares those three, so
+    # the list is verified as one batch per delta, on cold memos
+    kinds = ("diagonal", "pair", "triple")
+    mixed = []
+    for k, br in enumerate(reference_search.brackets[::61]):
+        mixed += [br, mutant(br, kinds[k % 3])]
+    mixed += [z37_bracket, constant_bracket(z3_shift, 37, 5, 9)]
+    batches: dict[tuple, list[int]] = {}
+    for k, br in enumerate(mixed):
+        key = (br.biquandle, br.modulus.m, br.delta)
+        batches.setdefault(key, []).append(k)
+    assert len(batches) == 6
+    bracket.row_verdicts.cache_clear()
+    bracket.triple_verdicts.cache_clear()
+    reports = [None] * len(mixed)
+    for batch in batches.values():
+        for k, report in zip(batch, verify_brackets([mixed[k]
+                                                     for k in batch])):
+            reports[k] = report
+    assert reports == [verify_bracket_axioms(br) for br in mixed]
+    assert reports == [plain_report(br) for br in mixed]
+    # each mutant fails only in its families, and z37_shift in (3)-(8) and
+    # (9)-(23)
+    arities = [{len(w) for _, w in report.violations} for report in reports]
+    assert arities[:-2] == [arity for k in range(len(mixed) // 2 - 1)
+                            for arity in (set(), {k % 3 + 1})]
+    assert arities[-2:] == [{2, 3}, set()]
 
 
 # -- the un-memoized search as an oracle ----------------------------------------
